@@ -9,7 +9,7 @@ from .errors import (
     OlnumError,
     ParseError,
 )
-from .field import ComplexQuad, RationalInterval, RealQuad, eval_radical, rq_sign
+from .field import ComplexQuad, RationalInterval, RealQuad, eval_radical
 from .numeration import (
     DigitString,
     NumerationSystem,
@@ -50,7 +50,6 @@ from .select import (
     select_d,
     select_m,
     select_m_extended,
-    specialized_select,
     synthesize_table,
     truncate,
 )

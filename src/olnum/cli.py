@@ -23,11 +23,10 @@ from .numeration import (
     format_digits,
     parse_digits,
 )
-from .online_div import div_run, make_generic_div_select
+from .online_div import div_run
 from .online_mul import mul_run
-from .params import div_params, mult_params
-from .preprocess import PreprocessSpec, dmin_lower_bound, preprocess_divisor
-from .presets import PRESET_NAMES, Preset, load_preset
+from .preprocess import preprocess_divisor
+from .presets import PRESET_NAMES, Preset, derived_preset, load_preset, unruled_spec
 from .region import (
     OLCertificate,
     complex_parallelogram_certificate,
@@ -52,39 +51,19 @@ def _load_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _default_cert(sys: NumerationSystem) -> OLCertificate:
+    if sys.is_real:
+        return real_interval_certificate(sys)
+    return complex_parallelogram_certificate(sys)
+
+
 def _custom_preset(sys: NumerationSystem, cert: OLCertificate | None) -> Preset:
     if cert is None:
-        if sys.is_real:
-            cert = real_interval_certificate(sys)
-        else:
-            cert = complex_parallelogram_certificate(sys)
+        cert = _default_cert(sys)
     result = verify_certificate(sys, cert)
     if not result.passed:
         raise CertificateError(f"certificate failed verification: {result.reason}")
-    depth, best = 1, dmin_lower_bound(sys, (), 1)
-    for d in range(2, 7):
-        if best.lo > 0 or len(sys.alphabet) ** d > 500_000:
-            break
-        depth, best = d, dmin_lower_bound(sys, (), d)
-    spec = PreprocessSpec(rules=(), d_min=best, analysis_depth=depth)
-    p_mult = mult_params(sys, cert)
-    p_div = div_params(sys, cert, best) if best.lo > 0 else None
-    from .online_mul import generic_mult_exact, generic_mult_select
-
-    return Preset(
-        name="custom",
-        sys=sys,
-        cert=cert,
-        div_cert=cert,
-        preprocess=spec,
-        mult_params=p_mult,
-        div_params=p_div,
-        generic_mult_params=p_mult,
-        generic_div_params=p_div,
-        mult_select=generic_mult_select,
-        mult_exact=generic_mult_exact,
-        div_select=None,
-    )
+    return derived_preset("custom", sys, cert, unruled_spec(sys))
 
 
 def _context(args) -> Preset:
@@ -153,11 +132,10 @@ def cmd_div(args) -> int:
     if any(i != sys_.zero_index for i in ns.int_digits) or any(i != sys_.zero_index for i in ds.int_digits):
         raise DomainError("operands must be fractional (integer part zero)")
     trace, close = _trace_writer(args.trace, sys_)
-    select = preset.div_select or make_generic_div_select(preset.div_params.alpha, preset.div_params.d_min)
     try:
         result = div_run(
             sys_, cert, preset.div_params, list(ns.frac_digits), list(ds.frac_digits),
-            args.digits, select_fn=select, check=not args.no_check, trace_fn=trace,
+            args.digits, select_fn=preset.div_select, check=not args.no_check, trace_fn=trace,
         )
     finally:
         if close:
@@ -266,10 +244,8 @@ def cmd_check_ol(args) -> int:
         sys_obj = NumerationSystem.from_dict(_load_json(args.system))
         if args.region:
             cert = OLCertificate.from_dict(_load_json(args.region))
-        elif sys_obj.is_real:
-            cert = real_interval_certificate(sys_obj)
         else:
-            cert = complex_parallelogram_certificate(sys_obj)
+            cert = _default_cert(sys_obj)
     else:
         preset = load_preset(args.preset or "golden-square")
         sys_obj, cert = preset.sys, preset.cert

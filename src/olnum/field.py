@@ -472,49 +472,6 @@ class ComplexQuad:
         return f"({self.re})+({self.im})i"
 
 
-# -- functional operation surface --------------------------------------------
-
-
-def rq_arith(op: str, x: RealQuad, y: RealQuad | None = None) -> RealQuad:
-    if op == "neg":
-        return -x
-    if y is None:
-        raise DomainError(f"binary operation {op!r} needs two operands")
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise DomainError(f"unknown operation {op!r}")
-
-
-def rq_sign(x: RealQuad) -> int:
-    return x.sign()
-
-
-def cq_arith(op: str, z: ComplexQuad, w: ComplexQuad | None = None):
-    if op == "neg":
-        return -z
-    if op == "conj":
-        return z.conj()
-    if op == "norm_sq":
-        return z.norm_sq()
-    if w is None:
-        raise DomainError(f"binary operation {op!r} needs two operands")
-    if op == "add":
-        return z + w
-    if op == "sub":
-        return z - w
-    if op == "mul":
-        return z * w
-    if op == "div":
-        return z / w
-    raise DomainError(f"unknown operation {op!r}")
-
-
 # -- rational intervals -------------------------------------------------------
 
 

@@ -70,10 +70,10 @@ class NumerationSystem:
 
     def a_max(self, max_width: Fraction = Fraction(1, 10**12)) -> RationalInterval:
         """Enclosure of A = max |a| over the alphabet."""
-        return _sqrt_rq(self.a_sq, max_width, self.ambient_d)
+        return sqrt_enclosure(self.a_sq, max_width, self.ambient_d)
 
     def abs_beta(self, max_width: Fraction = Fraction(1, 10**12)) -> RationalInterval:
-        return _sqrt_rq(self.beta_norm_sq, max_width, self.ambient_d)
+        return sqrt_enclosure(self.beta_norm_sq, max_width, self.ambient_d)
 
     def abs_beta_exact(self) -> RealQuad | None:
         return self.beta_norm_sq.sqrt_exact(self.ambient_d)
@@ -85,32 +85,19 @@ class NumerationSystem:
         never worse than A/(|beta|-1) and is attained for complex unit
         alphabets.
         """
-        best: RealQuad | None = None
-        for x in self.alphabet:
-            xb = x * self.base
-            for y in self.alphabet:
-                n = (xb + y).norm_sq()
-                if best is None or (n - best).sign() > 0:
-                    best = n
-        assert best is not None
         denom = (self.beta_norm_sq - 1).to_interval(max_width / 4)
-        return _sqrt_rq(best, max_width / 4, self.ambient_d) / denom
+        return sqrt_enclosure(self._pair_norm_sq(), max_width / 4, self.ambient_d) / denom
 
     def d_max_exact(self) -> RealQuad | None:
         """Exact pair bound when max|x*beta+y| lies in the field."""
-        best: RealQuad | None = None
-        best_sq: RealQuad | None = None
-        for x in self.alphabet:
-            xb = x * self.base
-            for y in self.alphabet:
-                n = (xb + y).norm_sq()
-                if best_sq is None or (n - best_sq).sign() > 0:
-                    best_sq = n
-        assert best_sq is not None
-        root = best_sq.sqrt_exact(self.ambient_d)
+        root = self._pair_norm_sq().sqrt_exact(self.ambient_d)
         if root is None:
             return None
         return root / (self.beta_norm_sq - 1)
+
+    def _pair_norm_sq(self) -> RealQuad:
+        """max |x*beta + y|^2 over digit pairs."""
+        return self._max_norm_sq(xb + y for xb in (x * self.base for x in self.alphabet) for y in self.alphabet)
 
     def beta_pow(self, k: int) -> ComplexQuad:
         cached = self._pow_cache.get(k)
@@ -185,7 +172,7 @@ class NumerationSystem:
         return make_system(base, alphabet, symbols)
 
 
-def _sqrt_rq(x: RealQuad, max_width: Fraction, hint_d: int = 0) -> RationalInterval:
+def sqrt_enclosure(x: RealQuad, max_width: Fraction, hint_d: int = 0) -> RationalInterval:
     exact = x.sqrt_exact(hint_d)
     if exact is not None:
         return exact.to_interval(max_width)
@@ -264,26 +251,46 @@ def encode_value(sys, cert, v: ComplexQuad, n: int, max_shift: int = 64):
     """Encode an exact value into n fractional digits using the certificate's
     digit selector; returns (digits, shift) with value = beta^shift * 0.d1..dn
     up to the K*|beta|^-n tail.  The value is scaled into the region first."""
-    from .region import digit_select, region_contains
-
     if n < 0:
         raise DomainError("digit count must be non-negative")
     if v.is_zero():
         return DigitString.make(sys, [sys.zero_index], [sys.zero_index] * n), 0
-    shift = 0
-    r = v
-    while not region_contains(cert.region, r):
-        r = r * sys.inv_base
-        shift += 1
-        if shift > max_shift:
-            raise DomainError("value not reducible into the certificate region within the shift budget")
+    reduced = scale_into_region(sys, cert, v, sys.inv_base, max_shift)
+    if reduced is None:
+        raise DomainError("value not reducible into the certificate region within the shift budget")
+    r, shift = reduced
+    digits, _ = greedy_digits(sys, cert, r, n)
+    return DigitString.make(sys, [sys.zero_index], digits), shift
+
+
+def scale_into_region(sys, cert, v: ComplexQuad, factor: ComplexQuad, max_steps: int):
+    """Multiply v by factor until it lies in the certificate region; returns
+    (scaled value, number of multiplications), or None when max_steps
+    multiplications do not get it there."""
+    from .region import region_contains
+
+    steps = 0
+    while not region_contains(cert.region, v):
+        if steps >= max_steps:
+            return None
+        v = v * factor
+        steps += 1
+    return v, steps
+
+
+def greedy_digits(sys, cert, r: ComplexQuad, count: int) -> tuple[list[int], ComplexQuad]:
+    """Emit count digits of r (a value in the certificate region) with the
+    certificate's selector, most significant first; returns the digits and
+    the exact residual."""
+    from .region import digit_select
+
     digits: list[int] = []
-    for _ in range(n):
+    for _ in range(count):
         t = r * sys.base
         idx = digit_select(cert, sys, t)
         digits.append(idx)
         r = t - sys.digit(idx)
-    return DigitString.make(sys, [sys.zero_index], digits), shift
+    return digits, r
 
 
 # -- zero representations -------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import DigitString, NumerationSystem, eval_digits
-from .online_mul import InvariantViolation
+from .online_mul import InvariantViolation, check_int_window
 from .params import ParamSet
 from .region import OLCertificate, VARIANT_MU_NU, region_dist_sq
 from .select import Window, select_d, select_d_exact, truncate, window_encode, window_value
@@ -83,6 +83,7 @@ def div_step(state: DivState, n_idx: int, d_idx: int) -> tuple[DivState, int]:
         sys.digit(n_idx) - state.q_partial * sys.digit(d_idx)
     ) * sys.beta_pow(-delta)
     w_window = window_encode(sys, cert, w_new, state.params.window_l)
+    check_int_window(k, w_window, state.max_int_window)
     d_window = truncate(sys, DigitString((sys.zero_index,), tuple(state.d_digits)), state.params.window_l)
     q = state.select_fn(sys, cert, w_window, d_window)
 
@@ -176,9 +177,6 @@ def div_run(
         n_idx = shifted_ns[j] if 0 <= j < len(shifted_ns) else zero
         d_idx = ds[pos - 1] if pos - 1 < len(ds) else zero
         _, q = div_step(state, n_idx, d_idx)
-        if max_int_window is not None and state.w_window is not None:
-            if state.w_window.int_len() > max_int_window:
-                raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
         if trace_fn is not None:
             trace_fn({
                 "k": k,

@@ -4,8 +4,9 @@ The state carries the auxiliary value W both exactly (for invariant
 monitoring) and as a digit window (what the selection actually consults).
 With monitoring enabled every step asserts, in exact arithmetic, the
 defining identity W_k = beta^k (X_k Y_k - P_{k-1}), the containment of W_k
-in the fattened beta*I, the agreement of windowed and exact selection, and
-the boundedness of the consulted window.
+in the fattened beta*I and the agreement of windowed and exact selection.
+The boundedness of the consulted window is enforced with monitoring on or
+off.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .region import (
     region_contains,
     region_dist_sq,
 )
-from .select import Window, select_m, select_m_extended, window_encode
+from .select import Window, below_growth_threshold, select_m, select_m_extended, window_encode
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
 ExactFn = Callable[[NumerationSystem, OLCertificate, ComplexQuad], int]
@@ -44,15 +45,20 @@ def generic_mult_exact(sys: NumerationSystem, cert: OLCertificate, v: ComplexQua
 
 
 def extended_mult_exact(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> int:
-    lam, _ = cert.region.interval_bounds()
-    threshold = sys.base.re * lam - cert.epsilon / 2
-    if v.is_real() and (v.re - threshold).sign() < 0:
+    if below_growth_threshold(sys, cert, v):
         return sys.zero_index
     return digit_select(cert, sys, v)
 
 
 class InvariantViolation(OlnumError):
     pass
+
+
+def check_int_window(k: int, window: Window, bound: int | None) -> None:
+    """The consulted window's integer part stays within the preset bound;
+    enforced by both mul and div steps whether or not monitoring is on."""
+    if bound is not None and window.int_len() > bound:
+        raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
 
 
 @dataclass
@@ -87,6 +93,7 @@ def mul_step(state: MulState, x_idx: int, y_idx: int) -> tuple[MulState, int]:
         sys.digit(x_idx) * state.y_partial + sys.digit(y_idx) * x_new
     )
     window = window_encode(sys, cert, w_new, state.params.window_l)
+    check_int_window(k, window, state.max_int_window)
     p = state.select_fn(sys, cert, window)
     y_new = state.y_partial + sys.digit(y_idx) * bpk
 
@@ -113,10 +120,7 @@ def _in_growth_phase(sys: NumerationSystem, cert: OLCertificate, w: ComplexQuad,
     if not w.is_real() or w.re.sign() < 0:
         return False
     lam, _ = cert.region.interval_bounds()
-    if lam.sign() <= 0:
-        return False
-    threshold = sys.base.re * lam - cert.epsilon / 2
-    return (w.re - threshold).sign() < 0
+    return lam.sign() > 0 and below_growth_threshold(sys, cert, w)
 
 
 def _check_step(state: MulState, k, w_new, x_new, y_new, window, p) -> None:
@@ -130,8 +134,6 @@ def _check_step(state: MulState, k, w_new, x_new, y_new, window, p) -> None:
     exact = state.exact_fn(sys, cert, window_value(sys, window))
     if exact != p:
         raise InvariantViolation(f"step {k}: windowed selection {p} differs from exact selection {exact}")
-    if state.max_int_window is not None and window.int_len() > state.max_int_window:
-        raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
     if _in_growth_phase(sys, cert, w_new, p):
         return
     fatten = cert.mult_fatten()

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError
+from .errors import CriterionInapplicableError, DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem
+from .numeration import DigitString, NumerationSystem, sqrt_enclosure, zero_has_nontrivial_rep
 
-_IV_PREC = Fraction(1, 10**9)
+# largest prefix enumeration (alphabet size ** depth) a floor search attempts
+_ENUM_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,34 @@ def dmin_lower_bound(
         bound = abs(best_exact.re) - tail_exact
         return bound.to_interval(precision)
     for _ in range(40):
-        min_abs = _sqrt_iv(best_sq, precision / 4)
+        min_abs = sqrt_enclosure(best_sq, precision / 4)
         tail = sys.d_max(precision / 4) / sys.abs_beta(precision / 4).pow_int(depth)
         result = min_abs - tail
         if result.width() <= precision:
             return result
         precision /= 4
     raise DomainError("interval evaluation failed to converge")
+
+
+def dmin_search(sys: NumerationSystem, rules, depth_cap: int) -> tuple[int, RationalInterval]:
+    """Shallowest analysis depth up to depth_cap (and within the enumeration
+    budget) at which dmin_lower_bound is positive, with that bound.  Raises
+    DomainError when there is none; at once when no rules are given and zero
+    has a non-trivial representation, since then no depth can succeed."""
+    if not rules:
+        try:
+            nontrivial = zero_has_nontrivial_rep(sys).nontrivial_exists
+        except CriterionInapplicableError:
+            nontrivial = False
+        if nontrivial:
+            raise DomainError("zero has a non-trivial representation: no positive divisor bound without rewrite rules")
+    for depth in range(1, depth_cap + 1):
+        if len(sys.alphabet) ** depth > _ENUM_BUDGET:
+            break
+        iv = dmin_lower_bound(sys, rules, depth)
+        if iv.lo > 0:
+            return depth, iv
+    raise DomainError("no positive leading-prefix bound within the enumeration budget")
 
 
 def _tail_exact(sys: NumerationSystem, depth: int) -> RealQuad | None:
@@ -197,9 +219,3 @@ def _tail_exact(sys: NumerationSystem, depth: int) -> RealQuad | None:
         return None
     return d_max / beta_abs**depth
 
-
-def _sqrt_iv(x: RealQuad, max_width: Fraction) -> RationalInterval:
-    exact = x.sqrt_exact()
-    if exact is not None:
-        return exact.to_interval(max_width)
-    return x.to_interval(max_width * max_width / 4).sqrt(max_width)

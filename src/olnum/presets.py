@@ -9,10 +9,9 @@ the smaller digit, matching the specialized selection rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, log
 
 from .errors import CertificateError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
@@ -27,7 +26,7 @@ from .online_mul import (
     generic_mult_select,
 )
 from .params import FrontierPoint, ParamSet, div_params, eisenstein_params, mult_params
-from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, expand_rules, verify_rules
+from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_search, expand_rules, verify_rules
 from .region import (
     ConvexPolygon,
     OLCertificate,
@@ -36,7 +35,7 @@ from .region import (
     real_interval_certificate,
     verify_certificate,
 )
-from .select import golden_d_rule, golden_m_rule
+from .select import golden_d_rule, golden_m_rule, int_window_ceiling
 
 _IV = Fraction(1, 10**9)
 
@@ -78,25 +77,45 @@ def _int_window_ceiling(preset: Preset, fatten: RealQuad, scaled_by_divisor: boo
     reach = sys.abs_beta(_IV) * preset.cert.k_bound + fatten.to_interval(_IV)
     if scaled_by_divisor:
         reach = reach * sys.d_max(_IV)
-    b = reach.hi + (sys.a_max(_IV) / (sys.abs_beta(_IV) - 1)).hi
     rules = preset.preprocess.rules if preset.preprocess else ()
-    d0 = None
-    for depth in range(1, 9):
-        if len(sys.alphabet) ** depth > 500_000:
-            break
-        iv = dmin_lower_bound(sys, rules, depth)
-        if iv.lo > 0:
-            d0 = iv.lo
-            break
-    if d0 is None:
-        raise DomainError("no positive leading-prefix bound: integer window unbounded")
-    ab_lo = sys.abs_beta(_IV).lo
-    return max(1, ceil(log(float(max(b / d0, Fraction(2)))) / log(float(ab_lo))) + 1)
+    return int_window_ceiling(sys, reach.hi, rules, depth_cap=8)
 
 
 def _int_digits(values: list[int]) -> tuple[list[ComplexQuad], list[str]]:
     ordered = sorted(values, key=lambda v: (abs(v), v < 0))
     return [ComplexQuad.from_int(v) for v in ordered], [str(v) for v in ordered]
+
+
+def derived_preset(name: str, sys: NumerationSystem, cert: OLCertificate, spec: PreprocessSpec) -> Preset:
+    """Preset with the generic selectors whose run parameters are all derived
+    from the certificate and the divisor bound (division unavailable when that
+    bound is not positive); bundled presets override fields with replace()."""
+    gen_mult = mult_params(sys, cert)
+    gen_div = div_params(sys, cert, spec.d_min) if spec.d_min.lo > 0 else None
+    return Preset(
+        name=name,
+        sys=sys,
+        cert=cert,
+        div_cert=cert,
+        preprocess=spec,
+        mult_params=gen_mult,
+        div_params=gen_div,
+        generic_mult_params=gen_mult,
+        generic_div_params=gen_div,
+        mult_select=generic_mult_select,
+        mult_exact=generic_mult_exact,
+        div_select=None,
+    )
+
+
+def unruled_spec(sys: NumerationSystem) -> PreprocessSpec:
+    """Preprocessing without rewrite rules: its divisor bound is positive only
+    when zero has just the trivial representation (else the bound is 0)."""
+    try:
+        depth, d_min = dmin_search(sys, (), depth_cap=6)
+    except DomainError:
+        return PreprocessSpec(rules=(), d_min=RationalInterval.point(0), analysis_depth=0)
+    return PreprocessSpec(rules=(), d_min=d_min, analysis_depth=depth)
 
 
 def _validate(preset: Preset) -> Preset:
@@ -117,11 +136,7 @@ def _golden_square() -> Preset:
     sys = make_system(beta, digits, symbols)
     cert = real_interval_certificate(sys)
     d_min = dmin_lower_bound(sys, (), 1)  # exact 1/beta^2
-    spec = PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1)
-    gen_mult = mult_params(sys, cert)
-    gen_div = div_params(sys, cert, d_min)
-    pub_mult = ParamSet(delta=4, window_l=3, mode="mult")
-    pub_div = ParamSet(delta=6, window_l=9, mode="div", alpha=gen_div.alpha, d_min=d_min)
+    derived = derived_preset("golden-square", sys, cert, PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1))
 
     def mult_select(s, c, w):
         return golden_m_rule(s, w)
@@ -129,18 +144,11 @@ def _golden_square() -> Preset:
     def div_select(s, c, w, d):
         return golden_d_rule(s, w, d)
 
-    return Preset(
-        name="golden-square",
-        sys=sys,
-        cert=cert,
-        div_cert=cert,
-        preprocess=spec,
-        mult_params=pub_mult,
-        div_params=pub_div,
-        generic_mult_params=gen_mult,
-        generic_div_params=gen_div,
+    return replace(
+        derived,
+        mult_params=ParamSet(delta=4, window_l=3, mode="mult"),
+        div_params=ParamSet(delta=6, window_l=9, mode="div", alpha=derived.generic_div_params.alpha, d_min=d_min),
         mult_select=mult_select,
-        mult_exact=generic_mult_exact,
         div_select=div_select,
         notes="specialized window rules; generic parameters exposed alongside",
     )
@@ -161,30 +169,13 @@ def _golden_mean() -> Preset:
     ]
     rules = tuple(expand_rules(sys, seeds))
     d_min = dmin_lower_bound(sys, rules, 3)  # exact 1/beta^5
-    spec = PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3)
-    gen_mult = mult_params(sys, cert)
-    gen_div = div_params(sys, cert, d_min)
-    return Preset(
-        name="golden-mean",
-        sys=sys,
-        cert=cert,
-        div_cert=cert,
-        preprocess=spec,
-        mult_params=gen_mult,
-        div_params=gen_div,
-        generic_mult_params=gen_mult,
-        generic_div_params=gen_div,
-        mult_select=generic_mult_select,
-        mult_exact=generic_mult_exact,
-        div_select=None,
-    )
+    return derived_preset("golden-mean", sys, cert, PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3))
 
 
 def _knuth() -> Preset:
     beta = ComplexQuad(RealQuad(0), RealQuad(2))
     digits, symbols = _int_digits([-2, -1, 0, 1, 2])
     sys = make_system(beta, digits, symbols)
-    f = Fraction
     oblong = ConvexPolygon([
         ComplexQuad(RealQuad(5, 0, 9), RealQuad(-11, 0, 9)),
         ComplexQuad(RealQuad(5, 0, 9), RealQuad(11, 0, 9)),
@@ -192,24 +183,8 @@ def _knuth() -> Preset:
         ComplexQuad(RealQuad(-5, 0, 9), RealQuad(-11, 0, 9)),
     ])
     cert = OLCertificate(oblong, RealQuad(1, 0, 18))
-    d_min = RationalInterval.point(f(1, 6))  # via the odd/even digit split
-    spec = PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1)
-    gen_mult = mult_params(sys, cert)
-    gen_div = div_params(sys, cert, d_min)
-    return Preset(
-        name="knuth",
-        sys=sys,
-        cert=cert,
-        div_cert=cert,
-        preprocess=spec,
-        mult_params=gen_mult,
-        div_params=gen_div,
-        generic_mult_params=gen_mult,
-        generic_div_params=gen_div,
-        mult_select=generic_mult_select,
-        mult_exact=generic_mult_exact,
-        div_select=None,
-    )
+    d_min = RationalInterval.point(Fraction(1, 6))  # via the odd/even digit split
+    return derived_preset("knuth", sys, cert, PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1))
 
 
 def eisenstein_system() -> NumerationSystem:
@@ -321,24 +296,10 @@ def _integer_preset(b: int, m: int, M: int) -> Preset:
     digits, symbols = _int_digits(list(range(m, M + 1)))
     sys = make_system(beta, digits, symbols)
     cert = real_interval_certificate(sys)
-    spec = _integer_preprocess(sys, b, m, M)
-    gen_mult = mult_params(sys, cert)
-    gen_div = div_params(sys, cert, spec.d_min) if spec.d_min.lo > 0 else None
-    nonneg = b > 1 and m == 0
-    return Preset(
-        name=f"integer:{b}:{m}:{M}",
-        sys=sys,
-        cert=cert,
-        div_cert=cert,
-        preprocess=spec,
-        mult_params=gen_mult,
-        div_params=gen_div,
-        generic_mult_params=gen_mult,
-        generic_div_params=gen_div,
-        mult_select=extended_mult_select if nonneg else generic_mult_select,
-        mult_exact=extended_mult_exact if nonneg else generic_mult_exact,
-        div_select=None,
-    )
+    preset = derived_preset(f"integer:{b}:{m}:{M}", sys, cert, _integer_preprocess(sys, b, m, M))
+    if b > 1 and m == 0:
+        return replace(preset, mult_select=extended_mult_select, mult_exact=extended_mult_exact)
+    return preset
 
 
 def _integer_preprocess(sys: NumerationSystem, b: int, m: int, M: int) -> PreprocessSpec:
@@ -353,15 +314,7 @@ def _integer_preprocess(sys: NumerationSystem, b: int, m: int, M: int) -> Prepro
         two = sys.index_of_symbol("2")
         rules = (RewriteRule((neg, two), (zero, neg)),)
         return PreprocessSpec(rules=rules, d_min=dmin_lower_bound(sys, rules, 2), analysis_depth=2)
-    # no rules: usable when zero has only the trivial representation
-    depth = 1
-    best = dmin_lower_bound(sys, (), 1)
-    for d in range(2, 7):
-        if best.lo > 0 or len(sys.alphabet) ** d > 500_000:
-            break
-        depth = d
-        best = dmin_lower_bound(sys, (), d)
-    return PreprocessSpec(rules=(), d_min=best, analysis_depth=depth)
+    return unruled_spec(sys)
 
 
 @lru_cache(maxsize=None)

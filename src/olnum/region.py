@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CertificateError, DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
@@ -673,14 +673,26 @@ def ball_fits(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, digit_
     return True
 
 
-def nearest_digit(sys: NumerationSystem, v: ComplexQuad) -> int:
-    best = 0
+def nearest_qualifying(
+    sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad | None, fits: Callable[[int], bool] | None
+) -> int | None:
+    """Index of the digit a minimizing |v - a*delta| (delta None stands for 1)
+    among the digit indices i passing fits(i), or among all digits when fits
+    is None; ties go to the earlier digit in alphabet order.  None when no
+    digit passes."""
+    best: int | None = None
     best_d: RealQuad | None = None
     for i, a in enumerate(sys.alphabet):
-        d = (v - a).norm_sq()
+        if fits is not None and not fits(i):
+            continue
+        d = (v - (a if delta is None else a * delta)).norm_sq()
         if best_d is None or (d - best_d).sign() < 0:
             best, best_d = i, d
     return best
+
+
+def nearest_digit(sys: NumerationSystem, v: ComplexQuad) -> int:
+    return nearest_qualifying(sys, v, None, None)
 
 
 def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
@@ -691,15 +703,8 @@ def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> 
     dist = region_dist_sq(cert.beta_region(sys), v)
     if (dist - fatten * fatten).sign() > 0:
         raise DomainError("value outside the digit selection domain")
-    if cert.variant == VARIANT_MU_NU:
-        return nearest_digit(sys, v)
-    best: int | None = None
-    best_d: RealQuad | None = None
-    for i, a in enumerate(sys.alphabet):
-        if ball_fits(cert, sys, v, i):
-            d = (v - a).norm_sq()
-            if best_d is None or (d - best_d).sign() < 0:
-                best, best_d = i, d
+    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: ball_fits(cert, sys, v, i))
+    best = nearest_qualifying(sys, v, None, fits)
     if best is None:
         raise CertificateError("no digit qualifies: certificate does not cover the selection domain")
     return best
@@ -708,15 +713,6 @@ def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> 
 def digit_select_total(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
     """Total extension used for table synthesis: nearest-qualifying when any
     digit's ball test passes, plain nearest otherwise."""
-    if cert.variant == VARIANT_MU_NU:
-        return nearest_digit(sys, v)
-    best: int | None = None
-    best_d: RealQuad | None = None
-    for i, a in enumerate(sys.alphabet):
-        if ball_fits(cert, sys, v, i):
-            d = (v - a).norm_sq()
-            if best_d is None or (d - best_d).sign() < 0:
-                best, best_d = i, d
-    if best is not None:
-        return best
-    return nearest_digit(sys, v)
+    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: ball_fits(cert, sys, v, i))
+    best = nearest_qualifying(sys, v, None, fits)
+    return nearest_digit(sys, v) if best is None else best

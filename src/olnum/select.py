@@ -4,8 +4,9 @@ A window keeps the full integer part of an auxiliary value plus its first L
 fractional digits, together with a certified bound on the discarded tail.
 Selection evaluates the window exactly and applies the certificate's digit
 selector; specialized rules for the golden-square, Knuth and
-Eisenstein systems are provided alongside, plus lookup-table synthesis over
-the finitely many windows that fit a bounded domain.
+Eisenstein systems are provided alongside, plus the integer-window bound and
+lookup-table synthesis over the finitely many windows that fit a bounded
+domain.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import ceil, log
 
 from .errors import CertificateError, DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem, eval_digits
-from .preprocess import RewriteRule, dmin_lower_bound
+from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, scale_into_region
+from .preprocess import RewriteRule, dmin_search
 from .region import (
     ConvexPolygon,
     OLCertificate,
@@ -26,7 +27,7 @@ from .region import (
     digit_select,
     digit_select_total,
     nearest_digit,
-    region_contains,
+    nearest_qualifying,
     region_dist_sq,
 )
 
@@ -73,28 +74,17 @@ def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad
             L,
             RationalInterval.point(0),
         )
-    shift = 0
-    r = value
-    while not region_contains(cert.region, r) and shift <= max_shift:
-        r = r * sys.inv_base
-        shift += 1
-    if shift > max_shift:
+    reduced = scale_into_region(sys, cert, value, sys.inv_base, max_shift)
+    if reduced is not None:
+        r, shift = reduced
+    else:
         # not reachable by scaling down: try scaling up (values below a
         # region that sits right of zero)
-        shift = 0
-        r = value
-        while not region_contains(cert.region, r):
-            r = r * sys.base
-            shift -= 1
-            if -shift > max_shift:
-                raise DomainError("value not reducible into the certificate region")
-    digits: list[int] = []
-    n_emit = shift + L if shift >= 0 else max(L + shift, 0)
-    for _ in range(n_emit):
-        t = r * sys.base
-        idx = digit_select(cert, sys, t)
-        digits.append(idx)
-        r = t - sys.digit(idx)
+        reduced = scale_into_region(sys, cert, value, sys.base, max_shift)
+        if reduced is None:
+            raise DomainError("value not reducible into the certificate region")
+        r, shift = reduced[0], -reduced[1]
+    digits, r = greedy_digits(sys, cert, r, shift + L if shift >= 0 else max(L + shift, 0))
     if r.is_zero():
         tail = RationalInterval.point(0)
     else:
@@ -126,6 +116,14 @@ def select_m(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     return digit_select(cert, sys, window_value(sys, w))
 
 
+def below_growth_threshold(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> bool:
+    """For an interval region right of zero (non-negative alphabets): v is
+    real and below base*lambda - epsilon/2, so W is still growing into the
+    selection domain and the digit is 0."""
+    lam, _ = cert.region.interval_bounds()
+    return v.is_real() and (v.re - (sys.base.re * lam - cert.epsilon / 2)).sign() < 0
+
+
 def select_m_extended(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     """Select for non-negative alphabets (base > 1, digits 0..M): emits 0
     while the value is still below the region's reach."""
@@ -134,9 +132,7 @@ def select_m_extended(cert: OLCertificate, sys: NumerationSystem, w: Window) -> 
     lam, _ = cert.region.interval_bounds()
     if lam.sign() <= 0:
         raise DomainError("extended select applies when the region lies right of zero")
-    value = window_value(sys, w)
-    threshold = sys.base.re * lam - cert.epsilon / 2
-    if value.is_real() and (value.re - threshold).sign() < 0:
+    if below_growth_threshold(sys, cert, window_value(sys, w)):
         return sys.zero_index
     return select_m(cert, sys, w)
 
@@ -193,20 +189,8 @@ def select_d(
 
 
 def select_d_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
-    if cert.variant == VARIANT_MU_NU:
-        best, best_d = 0, None
-        for i, a in enumerate(sys.alphabet):
-            dd = (v - a * delta).norm_sq()
-            if best_d is None or (dd - best_d).sign() < 0:
-                best, best_d = i, dd
-        return best
-    best: int | None = None
-    best_d: RealQuad | None = None
-    for i, a in enumerate(sys.alphabet):
-        if _scaled_ball_fits(cert, sys, v, delta, i):
-            dd = (v - a * delta).norm_sq()
-            if best_d is None or (dd - best_d).sign() < 0:
-                best, best_d = i, dd
+    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: _scaled_ball_fits(cert, sys, v, delta, i))
+    best = nearest_qualifying(sys, v, delta, fits)
     if best is None:
         raise CertificateError("no digit qualifies for the scaled selection test")
     return best
@@ -304,25 +288,6 @@ def _index_of_int(sys: NumerationSystem, n: int) -> int:
     return idx
 
 
-_SPECIALIZED = {
-    "golden_m": lambda sys, windows: golden_m_rule(sys, windows[0]),
-    "golden_d": lambda sys, windows: golden_d_rule(sys, windows[0], windows[1]),
-    "knuth_digit": lambda sys, windows: knuth_digit_rule(sys, windows[0]),
-    "eisenstein_digit": lambda sys, windows: eisenstein_digit_rule(sys, windows[0]),
-}
-
-
-def specialized_select(preset: str, sys: NumerationSystem, *windows: Window) -> int:
-    try:
-        fn = _SPECIALIZED[preset]
-    except KeyError:
-        raise DomainError(f"unknown specialized rule {preset!r}") from None
-    need = 2 if preset == "golden_d" else 1
-    if len(windows) != need:
-        raise DomainError(f"rule {preset!r} takes {need} window(s)")
-    return fn(sys, list(windows))
-
-
 # -- lookup tables ------------------------------------------------------------------
 
 
@@ -348,11 +313,22 @@ class SelectTable:
         return "\n".join(lines) + "\n"
 
 
-def _frac_reach(sys: NumerationSystem, L: int) -> Fraction:
-    """Upper bound on |sum of L fractional digits|."""
+def _frac_reach(sys: NumerationSystem) -> Fraction:
+    """Upper bound on |sum of the fractional digits| of any window."""
     a = sys.a_max(_IV_PREC)
     ab = sys.abs_beta(_IV_PREC)
     return (a / (ab - 1)).hi
+
+
+def int_window_ceiling(sys: NumerationSystem, reach: Fraction, rules, depth_cap: int) -> int:
+    """Analytic bound on the integer positions of a window whose value has
+    modulus at most reach: an irreducible leading prefix is at least the
+    positive floor found by dmin_search, and each further integer position
+    multiplies it by |beta|.  Raises DomainError when there is no floor."""
+    _, floor = dmin_search(sys, rules, depth_cap)
+    ratio = (reach + _frac_reach(sys)) / floor.lo
+    ab = sys.abs_beta(_IV_PREC)
+    return max(ceil(log(float(max(ratio, Fraction(2)))) / log(float(ab.lo))) + 1, 1)
 
 
 def max_int_window(
@@ -362,24 +338,15 @@ def max_int_window(
     L: int,
     rules: tuple[RewriteRule, ...] = (),
     depth_cap: int = 12,
-    refine: bool = True,
 ) -> int:
     """Largest number of integer positions a window can occupy while its value
-    can still meet the domain.  Finite only when irreducible leading prefixes
-    are bounded away from zero; otherwise raises.  With refine=False only the
-    analytic ceiling is returned."""
-    d0 = _leading_value_floor(sys, rules, depth_cap)
-    b_iv = _domain_reach(sys, domain) + _frac_reach(sys, L)
-    ratio = b_iv / d0
-    ab = sys.abs_beta(_IV_PREC)
-    bound = ceil(log(float(max(ratio, Fraction(2)))) / log(float(ab.lo))) + 1
-    bound = max(bound, 1)
-    if not refine:
-        return bound
-    reach_sq = RealQuad.from_fraction(_frac_reach(sys, L) ** 2)
-    prune_sq = RealQuad.from_fraction(
-        ((sys.a_max(_IV_PREC) / (ab - 1)).hi + b_iv + 1) ** 2
-    )
+    can still meet the domain: the windows below int_window_ceiling are
+    enumerated, pruned by modulus.  Raises when that ceiling does not exist."""
+    reach = _domain_reach(sys, domain)
+    frac = _frac_reach(sys)
+    bound = int_window_ceiling(sys, reach, rules, depth_cap)
+    reach_sq = RealQuad.from_fraction(frac ** 2)
+    prune_sq = RealQuad.from_fraction((reach + 2 * frac + 1) ** 2)
     best = 0
     stack: list[tuple[int, ComplexQuad]] = []
     for idx in range(len(sys.alphabet)):
@@ -403,19 +370,6 @@ def _domain_reach(sys: NumerationSystem, domain: ConvexPolygon) -> Fraction:
     for v in domain.vertices:
         best = max(best, v.abs_interval(_IV_PREC).hi)
     return best
-
-
-def _leading_value_floor(sys: NumerationSystem, rules, depth_cap: int) -> Fraction:
-    n_digits = len(sys.alphabet)
-    for depth in range(1, depth_cap + 1):
-        if n_digits**depth > 500_000:
-            break
-        iv = dmin_lower_bound(sys, rules, depth)
-        if iv.lo > 0:
-            return iv.lo
-    raise DomainError(
-        "window enumeration budget exceeded: zero may have a non-trivial representation"
-    )
 
 
 def synthesize_table(

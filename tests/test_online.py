@@ -6,7 +6,7 @@ from olnum.errors import DomainError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import DigitString, eval_digits
 from olnum.online_div import DivState, div_error_constant, div_run, make_generic_div_select
-from olnum.online_mul import MulState, mul_run, mul_step, mult_error_constant
+from olnum.online_mul import InvariantViolation, MulState, mul_run, mul_step, mult_error_constant
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import load_preset
 
@@ -193,6 +193,20 @@ class TestTraceAndState:
         one = sys_.index_of_symbol("1")
         state.prime([one])
         assert len(state.d_digits) == golden.div_params.delta
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("kind", ["mul", "div"])
+def test_int_window_bound_enforced(golden, kind, check):
+    sys_ = golden.sys
+    one = sys_.index_of_symbol("1")
+    with pytest.raises(InvariantViolation):
+        if kind == "mul":
+            mul_run(sys_, golden.cert, golden.mult_params, [one], [one], 8, select_fn=golden.mult_select,
+                    exact_fn=golden.mult_exact, check=check, max_int_window=0)
+        else:
+            div_run(sys_, golden.div_cert, golden.div_params, [one], [one], 8, select_fn=golden.div_select,
+                    check=check, max_int_window=0)
 
 
 class TestStreamingInputs:

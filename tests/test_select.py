@@ -7,18 +7,20 @@ import pytest
 from olnum.errors import DomainError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import DigitString, eval_digits, parse_digits
+from olnum import preprocess, presets, select
 from olnum.presets import load_preset
 from olnum.region import digit_select, fattened_domain
 from olnum.select import (
     Window,
+    eisenstein_digit_rule,
     golden_d_rule,
     golden_m_rule,
+    knuth_digit_rule,
     max_int_window,
     select_d,
     select_d_exact,
     select_m,
     select_m_extended,
-    specialized_select,
     synthesize_table,
     truncate,
     window_encode,
@@ -158,7 +160,7 @@ class TestSpecializedGoldenM:
     def test_claim_case(self, golden):
         sys_ = golden.sys
         w = _win(sys_, "0 0 . 1 1 0", 3)
-        assert sys_.symbol(specialized_select("golden_m", sys_, w)) == "1"
+        assert sys_.symbol(golden_m_rule(sys_, w)) == "1"
 
     def test_agrees_with_generic_on_all_windows(self, golden):
         sys_, cert = golden.sys, golden.cert
@@ -233,7 +235,7 @@ class TestKnuthDigit:
         ]
         for text, expected in cases:
             w = _win(sys_, text, 7)
-            assert sys_.symbol(specialized_select("knuth_digit", sys_, w)) == expected
+            assert sys_.symbol(knuth_digit_rule(sys_, w)) == expected
 
     def test_agrees_with_generic(self, knuth):
         sys_, cert = knuth.sys, knuth.cert
@@ -250,7 +252,7 @@ class TestKnuthDigit:
             fat = cert.select_fatten()
             if (region_dist_sq(cert.beta_region(sys_), value) - fat * fat).sign() > 0:
                 continue
-            assert specialized_select("knuth_digit", sys_, w) == digit_select(cert, sys_, value)
+            assert knuth_digit_rule(sys_, w) == digit_select(cert, sys_, value)
             checked += 1
         assert checked > 500
 
@@ -259,7 +261,7 @@ class TestEisensteinDigit:
     def test_nearest(self, eisenstein):
         sys_ = eisenstein.sys
         w = _win(sys_, "0 . 1", 7)  # value 1/beta
-        idx = specialized_select("eisenstein_digit", sys_, w)
+        idx = eisenstein_digit_rule(sys_, w)
         assert idx == digit_select(eisenstein.cert, sys_, window_value(sys_, w))
 
     def test_three_fifths(self, eisenstein):
@@ -316,6 +318,19 @@ class TestTableSynthesis:
         domain = fattened_domain(p.sys, p.cert, p.cert.mult_fatten())
         with pytest.raises(DomainError):
             synthesize_table(p.sys, p.cert, 4, domain, rules=None)
+
+    def test_nontrivial_zero_fails_without_enumeration(self, monkeypatch):
+        base2 = load_preset("integer:2:-1:1")
+        domain = fattened_domain(base2.sys, base2.cert, base2.cert.mult_fatten())
+
+        def enumeration_forbidden(*args, **kwargs):
+            raise AssertionError("dmin_lower_bound called")
+
+        for module in (preprocess, presets, select):
+            monkeypatch.setattr(module, "dmin_lower_bound", enumeration_forbidden, raising=False)
+        with pytest.raises(DomainError):
+            synthesize_table(base2.sys, base2.cert, 4, domain, rules=None)
+        assert load_preset.__wrapped__("integer:4:-3:3").div_params is None
 
     def test_serialization_roundtrip(self, golden):
         sys_, cert = golden.sys, golden.cert

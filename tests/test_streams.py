@@ -1,0 +1,53 @@
+"""Digit streams pinned by digest: seeded multiplications and divisions on the
+three showcase presets must emit exactly the same digits after any change
+that is meant to preserve behaviour."""
+
+import hashlib
+import random
+
+from olnum.numeration import DigitString, eval_digits
+from olnum.online_div import div_run
+from olnum.online_mul import mul_run
+from olnum.preprocess import preprocess_divisor
+from olnum.presets import load_preset
+
+N = 40
+PRESETS = ("golden-square", "knuth", "eisenstein")
+STREAMS_SHA256 = "22236cae0a73ed0adc9844e66f12915e2894ac39afa30bbd86e0202ee8a7f364"
+
+
+def _digits(rng: random.Random, sys_, length: int) -> list[int]:
+    return [rng.randrange(len(sys_.alphabet)) for _ in range(length)]
+
+
+def _divisor(rng: random.Random, sys_) -> list[int]:
+    """Raw divisor with a nonzero first digit and a nonzero value."""
+    nonzero = [i for i in range(len(sys_.alphabet)) if i != sys_.zero_index]
+    while True:
+        digits = [rng.choice(nonzero)] + _digits(rng, sys_, N - 1)
+        if not eval_digits(sys_, DigitString((sys_.zero_index,), tuple(digits))).is_zero():
+            return digits
+
+
+def _streams() -> str:
+    rng = random.Random(2024)
+    lines = []
+    for name in PRESETS:
+        p = load_preset(name)
+        sys_ = p.sys
+        m = N - p.mult_params.delta
+        prod = mul_run(sys_, p.cert, p.mult_params, _digits(rng, sys_, m), _digits(rng, sys_, m), N,
+                       select_fn=p.mult_select, exact_fn=p.mult_exact, check=False)
+        lines.append(f"{name}|mul|{' '.join(sys_.symbol(i) for i in prod.frac_digits)}")
+        num = _digits(rng, sys_, N)
+        raw = DigitString((sys_.zero_index,), tuple(_divisor(rng, sys_)))
+        den, shift = preprocess_divisor(p.preprocess, sys_, raw)
+        quo = div_run(sys_, p.div_cert, p.div_params, num, list(den.frac_digits), N,
+                      select_fn=p.div_select, check=False)
+        digits = " ".join(sys_.symbol(i) for i in quo.digits.frac_digits)
+        lines.append(f"{name}|div|{shift}|{quo.numerator_shift}|{digits}")
+    return "\n".join(lines) + "\n"
+
+
+def test_digit_streams_unchanged():
+    assert hashlib.sha256(_streams().encode()).hexdigest() == STREAMS_SHA256
