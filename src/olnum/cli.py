@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sysmod
 from fractions import Fraction
 
@@ -131,6 +132,9 @@ def cmd_div(args) -> int:
         ds, shift = preprocess_divisor(preset.preprocess, sys_, ds)
     if any(i != sys_.zero_index for i in ns.int_digits) or any(i != sys_.zero_index for i in ds.int_digits):
         raise DomainError("operands must be fractional (integer part zero)")
+    # the engine reads the divisor on-line; a zero value is only visible whole
+    if eval_digits(sys_, ds).is_zero():
+        raise DomainError("divisor evaluates to zero")
     trace, close = _trace_writer(args.trace, sys_)
     try:
         result = div_run(
@@ -313,6 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_div)
 
     p = sub.add_parser("encode", help="encode an exact value into digits")
+    # argparse reads only integers and decimals as negative numbers; let
+    # "--value -5/3" (and "-1e3") through as a value, not as an option
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     _add_common(p, with_cert=True)
     p.add_argument("--value", required=True, help="rational 'p/q' or ComplexQuad JSON")
     p.add_argument("--digits", type=int, default=20)

@@ -303,23 +303,28 @@ class ZeroRepVerdict:
 
 
 def zero_has_nontrivial_rep(sys: NumerationSystem) -> ZeroRepVerdict:
-    """Decide non-trivial representability of zero for real base > 1 and a
-    contiguous integer alphabet containing {-1, 0, 1}."""
+    """Decide non-trivial representability of zero for a contiguous integer
+    alphabet containing {-1, 0, 1} and a real base above 1, or below -1 with
+    a symmetric alphabet."""
     if not sys.is_real:
         raise CriterionInapplicableError("criterion inapplicable: complex base")
-    beta = sys.base.re
-    if (beta - 1).sign() <= 0:
-        raise CriterionInapplicableError("criterion inapplicable: base must exceed 1")
     rng = sys.contiguous_range()
     if rng is None:
         raise CriterionInapplicableError("criterion inapplicable: non-contiguous or non-integer alphabet")
     m, M = rng
+    beta = sys.base.re
+    if beta.sign() < 0 and m == -M:
+        # d_j -> (-1)^j d_j maps the alphabet onto itself and the expansions
+        # of zero in base beta onto those in base |beta|
+        beta = -beta
+    if (beta - 1).sign() <= 0:
+        raise CriterionInapplicableError("criterion inapplicable: base must exceed 1 (or be below -1 with a symmetric alphabet)")
     if not (m <= -1 and M >= 1):
         raise CriterionInapplicableError("criterion inapplicable: alphabet must contain {-1, 0, 1}")
     bound = max(M + 1, -m + 1)
     exists = (beta - bound).sign() <= 0
     if exists:
-        reason = f"base <= max({M}+1, {-m}+1) = {bound}: a carry identity yields a non-trivial expansion of zero"
+        reason = f"|base| <= max({M}+1, {-m}+1) = {bound}: a carry identity yields a non-trivial expansion of zero"
     else:
-        reason = f"base > max({M}+1, {-m}+1) = {bound}: leading-digit bound keeps every expansion away from zero"
+        reason = f"|base| > max({M}+1, {-m}+1) = {bound}: leading-digit bound keeps every expansion away from zero"
     return ZeroRepVerdict(exists, reason)

@@ -1,19 +1,22 @@
-"""On-line multiplication: most-significant-digit-first product emission.
+"""The on-line step engine and the multiplication recurrence.
 
-The state carries the auxiliary value W both exactly (for invariant
-monitoring) and as a digit window (what the selection actually consults).
-With monitoring enabled every step asserts, in exact arithmetic, the
-defining identity W_k = beta^k (X_k Y_k - P_{k-1}), the containment of W_k
-in the fattened beta*I and the agreement of windowed and exact selection.
-The boundedness of the consulted window is enforced with monitoring on or
-off.
+Multiplication and division share one engine, ``run_online``: a scaled
+residual W, its L-digit window, digit selection on the window, emission.
+They differ only in the recurrence that advances W (``mul_step`` here,
+``div_step`` in online_div).  Step k pulls one digit of each operand stream
+when it reads it, not before.  With monitoring enabled every step asserts,
+in exact arithmetic, the defining identity of W (for multiplication
+W_k = beta^k (X_k Y_k - P_{k-1})), its containment in the fattened beta*I
+and the agreement of windowed and exact selection.  The boundedness of the
+consulted window is enforced with monitoring on or off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable
+from fractions import Fraction
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OlnumError
 from .field import ComplexQuad, RationalInterval
@@ -26,7 +29,7 @@ from .region import (
     region_contains,
     region_dist_sq,
 )
-from .select import Window, below_growth_threshold, select_m, select_m_extended, window_encode
+from .select import Window, below_growth_threshold, select_m, select_m_extended, window_encode, window_value
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
 ExactFn = Callable[[NumerationSystem, OLCertificate, ComplexQuad], int]
@@ -54,19 +57,17 @@ class InvariantViolation(OlnumError):
     pass
 
 
-def check_int_window(k: int, window: Window, bound: int | None) -> None:
-    """The consulted window's integer part stays within the preset bound;
-    enforced by both mul and div steps whether or not monitoring is on."""
-    if bound is not None and window.int_len() > bound:
-        raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
-
-
 @dataclass
-class MulState:
+class OnlineState:
+    """One on-line run between steps: x_partial and y_partial are the operand
+    prefixes read (X_k, Y_k; or N, D to position k + delta), out_partial the
+    emitted value (P_k or Q_k).  select_fn also takes the divisor window in
+    division, which alone uses d_digits."""
+
     sys: NumerationSystem
     cert: OLCertificate
     params: ParamSet
-    select_fn: SelectFn = generic_mult_select
+    select_fn: Callable[..., int] = generic_mult_select
     exact_fn: ExactFn = generic_mult_exact
     check: bool = True
     max_int_window: int | None = None
@@ -74,41 +75,67 @@ class MulState:
     w: ComplexQuad = field(default_factory=ComplexQuad.zero)
     x_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
     y_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
-    p_prev: int = -1
-    p_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
+    out_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
     emitted: list[int] = field(default_factory=list)
-    w_window: Window | None = None
+    d_digits: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.p_prev < 0:
-            self.p_prev = self.sys.zero_index
+    def last_digit(self) -> ComplexQuad:
+        """Value of the digit emitted at the previous step (zero before step 1)."""
+        return self.sys.digit(self.emitted[-1] if self.emitted else self.sys.zero_index)
 
 
-def mul_step(state: MulState, x_idx: int, y_idx: int) -> tuple[MulState, int]:
+def operand_stream(sys: NumerationSystem, source: Iterable[int], lead: int) -> Iterator[int]:
+    """Digits of an operand by algorithm position: lead zeros, then the
+    source's digits, then zeros once it is exhausted.  The source is pulled
+    lazily, one digit per position read past the lead."""
+    zero = sys.zero_index
+    return chain(repeat(zero, lead), source, repeat(zero))
+
+
+def run_online(
+    state: OnlineState,
+    step: Callable[[OnlineState, int, int], tuple[ComplexQuad, tuple[Window, ...]]],
+    check_step: Callable[..., None],
+    xs: Iterator[int],
+    ys: Iterator[int],
+    n: int,
+    trace_fn: Callable[[dict], None] | None = None,
+) -> DigitString:
+    """Advance the state n steps.  Each step pulls one digit from xs and ys,
+    lets the recurrence compute W_k (and any extra selection windows), then
+    encodes, bounds and selects on the window, monitors and emits."""
     sys, cert = state.sys, state.cert
-    k = state.k + 1
-    bpk = sys.beta_pow(-k)
+    for _ in range(n):
+        k = state.k + 1
+        w, extra = step(state, next(xs), next(ys))
+        window = window_encode(sys, cert, w, state.params.window_l)
+        if state.max_int_window is not None and window.int_len() > state.max_int_window:
+            raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
+        digit = state.select_fn(sys, cert, window, *extra)
+        if state.check:
+            check_step(state, k, w, digit, window, *extra)
+        state.k, state.w = k, w
+        state.out_partial = state.out_partial + sys.digit(digit) * sys.beta_pow(-k)
+        state.emitted.append(digit)
+        if trace_fn is not None:
+            row = {"k": k, "digit": sys.symbol(digit), "w": w, "window": window}
+            if extra:
+                row["d_window"] = extra[0]
+            trace_fn(row)
+    return DigitString.make(sys, [sys.zero_index], state.emitted)
+
+
+def mul_step(state: OnlineState, x_idx: int, y_idx: int) -> tuple[ComplexQuad, tuple[Window, ...]]:
+    """W_k = beta (W_{k-1} - p_{k-1}) + x_k Y_{k-1} + y_k X_k; X and Y advance to X_k, Y_k."""
+    sys = state.sys
+    bpk = sys.beta_pow(-(state.k + 1))
     x_new = state.x_partial + sys.digit(x_idx) * bpk
-    w_new = (state.w - sys.digit(state.p_prev)) * sys.base + (
+    w_new = (state.w - state.last_digit()) * sys.base + (
         sys.digit(x_idx) * state.y_partial + sys.digit(y_idx) * x_new
     )
-    window = window_encode(sys, cert, w_new, state.params.window_l)
-    check_int_window(k, window, state.max_int_window)
-    p = state.select_fn(sys, cert, window)
-    y_new = state.y_partial + sys.digit(y_idx) * bpk
-
-    if state.check:
-        _check_step(state, k, w_new, x_new, y_new, window, p)
-
-    state.k = k
-    state.w = w_new
     state.x_partial = x_new
-    state.y_partial = y_new
-    state.p_partial = state.p_partial + sys.digit(p) * bpk
-    state.p_prev = p
-    state.w_window = window
-    state.emitted.append(p)
-    return state, p
+    state.y_partial = state.y_partial + sys.digit(y_idx) * bpk
+    return w_new, ()
 
 
 def _in_growth_phase(sys: NumerationSystem, cert: OLCertificate, w: ComplexQuad, p: int) -> bool:
@@ -123,14 +150,12 @@ def _in_growth_phase(sys: NumerationSystem, cert: OLCertificate, w: ComplexQuad,
     return lam.sign() > 0 and below_growth_threshold(sys, cert, w)
 
 
-def _check_step(state: MulState, k, w_new, x_new, y_new, window, p) -> None:
+def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: Window) -> None:
     sys, cert = state.sys, state.cert
-    expected = sys.beta_pow(k) * (x_new * y_new - state.p_partial)
+    expected = sys.beta_pow(k) * (state.x_partial * state.y_partial - state.out_partial)
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (X_k Y_k - P_(k-1))")
     # windowed pipeline vs exact-arithmetic selection at the same truncation
-    from .select import window_value
-
     exact = state.exact_fn(sys, cert, window_value(sys, window))
     if exact != p:
         raise InvariantViolation(f"step {k}: windowed selection {p} differs from exact selection {exact}")
@@ -151,14 +176,6 @@ def _check_step(state: MulState, k, w_new, x_new, y_new, window, p) -> None:
         raise InvariantViolation(f"step {k}: selection remainder left the region")
 
 
-def materialize_stream(source: Iterable[int], limit: int) -> list[int]:
-    """Accept a sequence or any (possibly lazy) iterable of digit indices,
-    pulling at most limit digits."""
-    if isinstance(source, (list, tuple)):
-        return list(source[:limit])
-    return list(islice(iter(source), limit))
-
-
 def mul_run(
     sys: NumerationSystem,
     cert: OLCertificate,
@@ -174,37 +191,19 @@ def mul_run(
 ) -> DigitString:
     """Run n steps; operand digit j of the algorithm is 0 for j <= delta and
     xs[j - delta - 1] afterwards (zero-padded when exhausted).  Operands may
-    be sequences or lazy iterators supplying digits incrementally."""
+    be sequences or lazy iterators; step k pulls at most k - delta digits."""
     if params.mode != "mult":
         raise DomainError("parameter set is not for multiplication")
-    state = MulState(
-        sys, cert, params, select_fn=select_fn, exact_fn=exact_fn,
-        check=check, max_int_window=max_int_window,
-    )
-    delta = params.delta
-    zero = sys.zero_index
-    xs = materialize_stream(xs, n)
-    ys = materialize_stream(ys, n)
-    for k in range(1, n + 1):
-        j = k - delta - 1
-        x = xs[j] if 0 <= j < len(xs) else zero
-        y = ys[j] if 0 <= j < len(ys) else zero
-        _, p = mul_step(state, x, y)
-        if trace_fn is not None:
-            trace_fn({
-                "k": k,
-                "digit": sys.symbol(p),
-                "w": state.w,
-                "window": state.w_window,
-            })
-    return DigitString.make(sys, [zero], state.emitted)
+    state = OnlineState(sys, cert, params, select_fn=select_fn, exact_fn=exact_fn,
+                        check=check, max_int_window=max_int_window)
+    xs = operand_stream(sys, xs, params.delta)
+    ys = operand_stream(sys, ys, params.delta)
+    return run_online(state, mul_step, _check_step, xs, ys, n, trace_fn)
 
 
 def mult_error_constant(sys: NumerationSystem, cert: OLCertificate) -> RationalInterval:
     """C with |X*Y - value(P_n)| <= C * |beta|^-n: sup|W| + A where the
     supremum runs over the fattened beta*I."""
-    from fractions import Fraction
-
     prec = Fraction(1, 10**9)
     fatten = cert.mult_fatten().to_interval(prec)
     sup_w = sys.abs_beta(prec) * cert.k_bound + fatten

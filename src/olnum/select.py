@@ -333,9 +333,7 @@ def int_window_ceiling(sys: NumerationSystem, reach: Fraction, rules, depth_cap:
 
 def max_int_window(
     sys: NumerationSystem,
-    cert: OLCertificate,
     domain: ConvexPolygon,
-    L: int,
     rules: tuple[RewriteRule, ...] = (),
     depth_cap: int = 12,
 ) -> int:
@@ -381,7 +379,7 @@ def synthesize_table(
     max_entries: int = 1_000_000,
 ) -> SelectTable:
     rule_set = tuple(rules) if rules else ()
-    n_int = max_int_window(sys, cert, domain, L, rule_set)
+    n_int = max_int_window(sys, domain, rule_set)
     n_positions = n_int + L
     count = len(sys.alphabet) ** n_positions
     if count > max_entries:

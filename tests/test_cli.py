@@ -55,6 +55,18 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert rc == 2
 
 
+def test_div_rejects_zero_valued_divisor(capsys, tmp_path):
+    # golden mean: 0.1(-1)(-1) = beta^-1 - beta^-2 - beta^-3 = 0 with a
+    # nonzero first digit, so only the whole divisor shows it
+    n = tmp_path / "n.ds"
+    d = tmp_path / "d.ds"
+    n.write_text("0 . 1\n")
+    d.write_text("0 . 1 -1 -1\n")
+    rc = main(["div", "--preset", "golden-mean", "--no-preprocess", "--no-check", "--digits", "5", str(n), str(d)])
+    assert rc == 2
+    assert "divisor evaluates to zero" in capsys.readouterr().err
+
+
 def test_params_table(capsys):
     rc = main(["params", "--preset", "knuth", "--mode", "div"])
     assert rc == 0
@@ -87,6 +99,15 @@ def test_encode_eval_roundtrip(capsys, tmp_path):
     out = capsys.readouterr().out
     approx = float(out.strip().splitlines()[-1].split()[1])
     assert abs(approx - 0.4) < 1e-3
+
+
+@pytest.mark.parametrize("value_args", [["--value", "-5/3"], ["--value=-5/3"]])
+def test_encode_negative_rational(capsys, value_args):
+    rc = main(["encode", "--preset", "golden-square", *value_args, "--digits", "5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.strip() == "0 . -1 1 0 0 -1"
+    assert captured.err.strip() == "shift 2"
 
 
 def test_preprocess_chain(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,16 @@ class TestZeroRep:
         p = load_preset("integer:3:-1:2")
         verdict = zero_has_nontrivial_rep(p.sys)
         assert verdict.nontrivial_exists is True
+
+    def test_negative_base_reduces_to_modulus(self):
+        # d_j -> (-1)^j d_j carries base -b with a symmetric alphabet to base b
+        assert zero_has_nontrivial_rep(load_preset("integer:-2:-1:1").sys).nontrivial_exists is True
+        assert zero_has_nontrivial_rep(load_preset("integer:-4:-2:2").sys).nontrivial_exists is False
+        assert load_preset("integer:-4:-2:2").div_params is not None
+        start = time.perf_counter()
+        preset = load_preset.__wrapped__("integer:-3:-3:3")
+        assert time.perf_counter() - start < 1.0
+        assert preset.div_params is None
 
     def test_complex_inapplicable(self):
         p = load_preset("knuth")

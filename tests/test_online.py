@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from olnum.errors import DomainError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import DigitString, eval_digits
-from olnum.online_div import DivState, div_error_constant, div_run, make_generic_div_select
-from olnum.online_mul import InvariantViolation, MulState, mul_run, mul_step, mult_error_constant
+from olnum.online_div import _quotient_guard, div_error_constant, div_run
+from olnum.online_mul import InvariantViolation, OnlineState, mul_run, mul_step, mult_error_constant, run_online
+from olnum.online_mul import _check_step as mul_check
 from olnum.preprocess import preprocess_divisor
-from olnum.presets import load_preset
+from olnum.presets import PRESET_NAMES, load_preset
 
 
 @pytest.fixture(scope="module")
@@ -30,37 +33,42 @@ def _assert_within(diff_norm_sq, bound_interval):
     assert (diff_norm_sq - RealQuad.from_fraction(bound_interval.lo ** 2)).sign() <= 0
 
 
+def _mul_state(preset):
+    return OnlineState(preset.sys, preset.cert, preset.mult_params,
+                       select_fn=preset.mult_select, exact_fn=preset.mult_exact)
+
+
+def _mul_steps(state, digits):
+    """Run one engine step per (x, y) digit pair through the mul recurrence."""
+    xs, ys = zip(*digits)
+    run_online(state, mul_step, mul_check, iter(xs), iter(ys), len(digits))
+
+
 class TestMulStep:
     def test_first_step_zero(self, golden):
-        state = MulState(golden.sys, golden.cert, golden.mult_params,
-                         select_fn=golden.mult_select, exact_fn=golden.mult_exact)
-        _, p = mul_step(state, golden.sys.zero_index, golden.sys.zero_index)
-        assert p == golden.sys.zero_index
+        state = _mul_state(golden)
+        zero = golden.sys.zero_index
+        _mul_steps(state, [(zero, zero)])
+        assert state.emitted == [zero]
         assert state.w.is_zero()
 
     def test_zero_inputs_scale_w(self, golden):
         sys_ = golden.sys
-        state = MulState(sys_, golden.cert, golden.mult_params,
-                         select_fn=golden.mult_select, exact_fn=golden.mult_exact)
-        one = sys_.index_of_symbol("1")
-        for k in range(1, 6):
-            x = one if k == 5 else sys_.zero_index
-            mul_step(state, x, x)
+        state = _mul_state(golden)
+        one, zero = sys_.index_of_symbol("1"), sys_.zero_index
+        _mul_steps(state, [(zero, zero)] * 4 + [(one, one)])
         w_before = state.w
-        p_before = state.p_prev
-        if p_before == sys_.zero_index and not w_before.is_zero():
-            mul_step(state, sys_.zero_index, sys_.zero_index)
+        if state.emitted[-1] == zero and not w_before.is_zero():
+            _mul_steps(state, [(zero, zero)])
             assert (state.w - w_before * sys_.base).is_zero()
 
     def test_identity_at_step_five(self, golden):
         sys_ = golden.sys
-        one = sys_.index_of_symbol("1")
-        state = MulState(sys_, golden.cert, golden.mult_params,
-                         select_fn=golden.mult_select, exact_fn=golden.mult_exact)
-        for k in range(1, 6):
-            x = one if k == 5 else sys_.zero_index
-            mul_step(state, x, x)
-        expected = sys_.beta_pow(5) * (state.x_partial * state.y_partial - (state.p_partial - sys_.digit(state.p_prev) * sys_.beta_pow(-5)))
+        one, zero = sys_.index_of_symbol("1"), sys_.zero_index
+        state = _mul_state(golden)
+        _mul_steps(state, [(zero, zero)] * 4 + [(one, one)])
+        p_4 = state.out_partial - sys_.digit(state.emitted[-1]) * sys_.beta_pow(-5)
+        expected = sys_.beta_pow(5) * (state.x_partial * state.y_partial - p_4)
         assert (state.w - expected).is_zero()
 
 
@@ -176,6 +184,32 @@ class TestDivRun:
             runs += 1
 
 
+class TestStaticShift:
+    def test_zero_for_every_bundled_division(self):
+        for name in PRESET_NAMES:
+            p = load_preset(name)
+            if p.div_params is not None:
+                assert _quotient_guard(p.sys, p.div_cert, p.div_params) == 0
+
+    @settings(max_examples=24, deadline=None)
+    @given(name=st.sampled_from(["integer:2:-1:1", "integer:4:-2:2", "integer:5:-3:3", "integer:-4:-2:2"]),
+           data=st.data())
+    def test_integer_quotients_within_error_constant(self, name, data):
+        p = load_preset(name)
+        sys_, params, n = p.sys, p.div_params, 20
+        digit = st.integers(0, len(sys_.alphabet) - 1)
+        lead = data.draw(st.sampled_from([i for i in range(len(sys_.alphabet)) if i != sys_.zero_index]))
+        raw = DigitString((sys_.zero_index,), (lead, *data.draw(st.lists(digit, max_size=9))))
+        assume(not eval_digits(sys_, raw).is_zero())
+        pre, _ = preprocess_divisor(p.preprocess, sys_, raw)
+        ns = data.draw(st.lists(digit, max_size=10))
+        res = div_run(sys_, p.div_cert, params, ns, list(pre.frac_digits), n, select_fn=p.div_select)
+        n_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ns))
+        n_val = n_val * sys_.beta_pow(-params.delta - res.numerator_shift)
+        c = div_error_constant(sys_, p.div_cert, params.d_min) * sys_.abs_beta().pow_int(-n)
+        _assert_within((eval_digits(sys_, res.digits) - n_val / eval_digits(sys_, pre)).norm_sq(), c)
+
+
 class TestTraceAndState:
     def test_trace_rows(self, golden):
         sys_ = golden.sys
@@ -188,11 +222,25 @@ class TestTraceAndState:
 
     def test_div_priming_checks_prefixes(self, golden):
         sys_ = golden.sys
-        state = DivState(golden.sys, golden.div_cert, golden.div_params,
-                         make_generic_div_select(golden.div_params.alpha, golden.div_params.d_min))
+        params = golden.div_params
         one = sys_.index_of_symbol("1")
-        state.prime([one])
-        assert len(state.d_digits) == golden.div_params.delta
+        pulled = []
+
+        def divisor():
+            for idx in [one] + [sys_.zero_index] * (params.delta + 5):
+                pulled.append(idx)
+                yield idx
+
+        # before the first quotient digit the run reads delta divisor digits
+        res = div_run(sys_, golden.div_cert, params, [one], divisor(), 0, select_fn=golden.div_select)
+        assert res.digits.frac_digits == () and len(pulled) == params.delta
+        # ... checks the first is nonzero and each of their prefixes
+        with pytest.raises(DomainError):
+            div_run(sys_, golden.div_cert, params, [one], [sys_.zero_index, one], 0)
+        base2 = load_preset("integer:2:-1:1")
+        one, neg = base2.sys.index_of_symbol("1"), base2.sys.index_of_symbol("-1")
+        with pytest.raises(InvariantViolation, match="D_3"):
+            div_run(base2.sys, base2.div_cert, base2.div_params, [one], [one, neg, neg], 0)
 
 
 @pytest.mark.parametrize("check", [True, False])

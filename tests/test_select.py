@@ -311,7 +311,7 @@ class TestTableSynthesis:
     def test_knuth_three_integer_positions(self, knuth):
         sys_, cert = knuth.sys, knuth.cert
         domain = fattened_domain(sys_, cert, cert.mult_fatten())
-        assert max_int_window(sys_, cert, domain, 7) == 3
+        assert max_int_window(sys_, domain) == 3
 
     def test_base2_without_rules_errors(self):
         p = load_preset("integer:2:-1:1")
