@@ -40,7 +40,6 @@ from .region import (
     VerifyResult,
     complex_parallelogram_certificate,
     digit_select,
-    poly_erode,
     real_interval_certificate,
     verify_certificate,
 )

@@ -26,10 +26,12 @@ from .numeration import (
 )
 from .online_div import div_run
 from .online_mul import mul_run
+from .params import div_params, eisenstein_params, mult_params
 from .preprocess import preprocess_divisor
 from .presets import PRESET_NAMES, Preset, derived_preset, load_preset, unruled_spec
 from .region import (
     OLCertificate,
+    VARIANT_MU_NU,
     complex_parallelogram_certificate,
     fattened_domain,
     real_interval_certificate,
@@ -216,27 +218,23 @@ def cmd_params(args) -> int:
         return f"[{float(p.d_min.lo):.9g}, {float(p.d_min.hi):.9g}]"
 
     for mode in modes:
-        if preset.frontier_mult and mode == "mult":
-            for pt in preset.frontier_mult:
-                rows.append((preset.name, mode, str(pt.delta), str(pt.window_l), "-", "-",
-                             f"frontier mu={float(pt.mu):.6g} nu={float(pt.nu):.6g}"))
-            continue
-        if preset.frontier_div and mode == "div":
-            for pt in preset.frontier_div:
-                rows.append((preset.name, mode, str(pt.delta), str(pt.window_l),
-                             fmt_alpha(preset.div_params), fmt_dmin(preset.div_params),
-                             f"frontier mu={float(pt.mu):.6g} nu={float(pt.nu):.6g}"))
-            continue
         eff = preset.mult_params if mode == "mult" else preset.div_params
-        gen = preset.generic_mult_params if mode == "mult" else preset.generic_div_params
+        if preset.cert.variant == VARIANT_MU_NU:
+            alpha, d_min = (fmt_alpha(eff), fmt_dmin(eff)) if mode == "div" else ("-", "-")
+            for pt in eisenstein_params(mode):
+                rows.append((preset.name, mode, str(pt.delta), str(pt.window_l), alpha, d_min,
+                             f"frontier mu={float(pt.mu):.6g} nu={float(pt.nu):.6g}"))
+            continue
         if eff is None:
             rows.append((preset.name, mode, "-", "-", "-", "-", "unavailable"))
             continue
-        if gen is not None and (gen.delta, gen.window_l) != (eff.delta, eff.window_l):
-            rows.append((preset.name, mode, str(eff.delta), str(eff.window_l), fmt_alpha(eff), fmt_dmin(eff), "preset"))
-            rows.append((preset.name, mode, str(gen.delta), str(gen.window_l), fmt_alpha(gen), fmt_dmin(gen), "derived"))
+        if mode == "mult":
+            gen = mult_params(preset.sys, preset.cert)
         else:
-            rows.append((preset.name, mode, str(eff.delta), str(eff.window_l), fmt_alpha(eff), fmt_dmin(eff), "derived"))
+            gen = div_params(preset.sys, preset.div_cert, preset.preprocess.d_min)
+        if (gen.delta, gen.window_l) != (eff.delta, eff.window_l):
+            rows.append((preset.name, mode, str(eff.delta), str(eff.window_l), fmt_alpha(eff), fmt_dmin(eff), "preset"))
+        rows.append((preset.name, mode, str(gen.delta), str(gen.window_l), fmt_alpha(gen), fmt_dmin(gen), "derived"))
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())

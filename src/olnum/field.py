@@ -178,9 +178,6 @@ class RealQuad:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign of (a + b*sqrt(d))/q, by integer comparison."""
         a, b, d = self.a, self.b, self.d

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CriterionInapplicableError, DomainError, ParseError
@@ -86,17 +87,18 @@ class NumerationSystem:
         alphabets.
         """
         denom = (self.beta_norm_sq - 1).to_interval(max_width / 4)
-        return sqrt_enclosure(self._pair_norm_sq(), max_width / 4, self.ambient_d) / denom
+        return sqrt_enclosure(self._pair_norm_sq, max_width / 4, self.ambient_d) / denom
 
     def d_max_exact(self) -> RealQuad | None:
         """Exact pair bound when max|x*beta+y| lies in the field."""
-        root = self._pair_norm_sq().sqrt_exact(self.ambient_d)
+        root = self._pair_norm_sq.sqrt_exact(self.ambient_d)
         if root is None:
             return None
         return root / (self.beta_norm_sq - 1)
 
+    @cached_property
     def _pair_norm_sq(self) -> RealQuad:
-        """max |x*beta + y|^2 over digit pairs."""
+        """max |x*beta + y|^2 over digit pairs, enumerated once per system."""
         return self._max_norm_sq(xb + y for xb in (x * self.base for x in self.alphabet) for y in self.alphabet)
 
     def beta_pow(self, k: int) -> ComplexQuad:

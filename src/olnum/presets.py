@@ -9,14 +9,14 @@ the smaller digit, matching the specialized selection rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import NumerationSystem, make_system
-from .online_div import DivSelectFn
+from .online_div import DivSelectFn, make_generic_div_select
 from .online_mul import (
     ExactFn,
     SelectFn,
@@ -25,7 +25,7 @@ from .online_mul import (
     generic_mult_exact,
     generic_mult_select,
 )
-from .params import FrontierPoint, ParamSet, div_params, eisenstein_params, mult_params
+from .params import FrontierPoint, ParamSet, _eis_feasible, div_params, mult_params
 from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_search, expand_rules, verify_rules
 from .region import (
     ConvexPolygon,
@@ -42,6 +42,10 @@ _IV = Fraction(1, 10**9)
 
 @dataclass
 class Preset:
+    """What a run reads.  The generic parameters and the Eisenstein frontier
+    are derived where they are printed (``olnum params``); the integer-window
+    bounds are computed on first use."""
+
     name: str
     sys: NumerationSystem
     cert: OLCertificate
@@ -49,16 +53,11 @@ class Preset:
     preprocess: PreprocessSpec | None
     mult_params: ParamSet
     div_params: ParamSet | None
-    generic_mult_params: ParamSet
-    generic_div_params: ParamSet | None
     mult_select: SelectFn
     mult_exact: ExactFn
     div_select: DivSelectFn | None
-    frontier_mult: tuple[FrontierPoint, ...] = ()
-    frontier_div: tuple[FrontierPoint, ...] = ()
-    notes: str = ""
-    _max_int_mult: int | None = None
-    _max_int_div: int | None = None
+    _max_int_mult: int | None = field(default=None, init=False, repr=False, compare=False)
+    _max_int_div: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def max_int_mult(self) -> int:
         if self._max_int_mult is None:
@@ -90,7 +89,6 @@ def derived_preset(name: str, sys: NumerationSystem, cert: OLCertificate, spec: 
     """Preset with the generic selectors whose run parameters are all derived
     from the certificate and the divisor bound (division unavailable when that
     bound is not positive); bundled presets override fields with replace()."""
-    gen_mult = mult_params(sys, cert)
     gen_div = div_params(sys, cert, spec.d_min) if spec.d_min.lo > 0 else None
     return Preset(
         name=name,
@@ -98,13 +96,11 @@ def derived_preset(name: str, sys: NumerationSystem, cert: OLCertificate, spec: 
         cert=cert,
         div_cert=cert,
         preprocess=spec,
-        mult_params=gen_mult,
+        mult_params=mult_params(sys, cert),
         div_params=gen_div,
-        generic_mult_params=gen_mult,
-        generic_div_params=gen_div,
         mult_select=generic_mult_select,
         mult_exact=generic_mult_exact,
-        div_select=None,
+        div_select=make_generic_div_select(gen_div.alpha, gen_div.d_min) if gen_div else None,
     )
 
 
@@ -147,10 +143,9 @@ def _golden_square() -> Preset:
     return replace(
         derived,
         mult_params=ParamSet(delta=4, window_l=3, mode="mult"),
-        div_params=ParamSet(delta=6, window_l=9, mode="div", alpha=derived.generic_div_params.alpha, d_min=d_min),
+        div_params=ParamSet(delta=6, window_l=9, mode="div", alpha=derived.div_params.alpha, d_min=d_min),
         mult_select=mult_select,
         div_select=div_select,
-        notes="specialized window rules; generic parameters exposed alongside",
     )
 
 
@@ -234,44 +229,43 @@ def eisenstein_rules(sys: NumerationSystem) -> tuple[RewriteRule, ...]:
     return tuple(expand_rules(sys, seeds))
 
 
+# (delta, L) per mode: the delay-minimal multiplication pair and the
+# window-minimal division pair of the mu/nu frontiers (eisenstein_params), so
+# that a load re-checks two points instead of sweeping both frontiers
+EISENSTEIN_PAIRS = {"mult": (5, 7), "div": (10, 9)}
+
+
+def _eisenstein_witness(kind: str) -> FrontierPoint:
+    point = _eis_feasible(kind, *EISENSTEIN_PAIRS[kind])
+    if point is None:
+        raise CertificateError(f"preset eisenstein: pinned {kind} pair {EISENSTEIN_PAIRS[kind]} is infeasible")
+    return point
+
+
 def _eisenstein() -> Preset:
     sys = eisenstein_system()
     hexagon = eisenstein_hexagon()
     r = RealQuad(0, 1, 6, 3)  # sqrt(3)/6, the maximal covering slack
-    front_mult = tuple(eisenstein_params("mult"))
-    front_div = tuple(eisenstein_params("div"))
-    mult_choice = front_mult[0]  # delay-minimal pair
-    div_choice = front_div[-1]   # window-minimal pair
-    cert = OLCertificate(
-        hexagon, r, variant=VARIANT_MU_NU,
-        mu=RealQuad.from_fraction(mult_choice.mu), nu=RealQuad.from_fraction(mult_choice.nu),
-    )
-    div_cert = OLCertificate(
-        hexagon, r, variant=VARIANT_MU_NU,
-        mu=RealQuad.from_fraction(div_choice.mu), nu=RealQuad.from_fraction(div_choice.nu),
-    )
+    mult_choice, div_choice = _eisenstein_witness("mult"), _eisenstein_witness("div")
+
+    def mu_nu_cert(point: FrontierPoint) -> OLCertificate:
+        mu, nu = RealQuad.from_fraction(point.mu), RealQuad.from_fraction(point.nu)
+        return OLCertificate(hexagon, r, variant=VARIANT_MU_NU, mu=mu, nu=nu)
+
     rules = eisenstein_rules(sys)
     d_min = dmin_lower_bound(sys, rules, 3, precision=Fraction(1, 10**7))
-    spec = PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3)
     alpha = _eisenstein_alpha(sys, div_choice.mu, d_min)
-    p_mult = ParamSet(delta=mult_choice.delta, window_l=mult_choice.window_l, mode="mult")
-    p_div = ParamSet(delta=div_choice.delta, window_l=div_choice.window_l, mode="div", alpha=alpha, d_min=d_min)
     return Preset(
         name="eisenstein",
         sys=sys,
-        cert=cert,
-        div_cert=div_cert,
-        preprocess=spec,
-        mult_params=p_mult,
-        div_params=p_div,
-        generic_mult_params=p_mult,
-        generic_div_params=p_div,
+        cert=mu_nu_cert(mult_choice),
+        div_cert=mu_nu_cert(div_choice),
+        preprocess=PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3),
+        mult_params=ParamSet(delta=mult_choice.delta, window_l=mult_choice.window_l, mode="mult"),
+        div_params=ParamSet(delta=div_choice.delta, window_l=div_choice.window_l, mode="div", alpha=alpha, d_min=d_min),
         mult_select=generic_mult_select,
         mult_exact=generic_mult_exact,
-        div_select=None,
-        frontier_mult=front_mult,
-        frontier_div=front_div,
-        notes="mu/nu bookkeeping; parameters from the feasibility frontier",
+        div_select=make_generic_div_select(alpha, d_min),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import CertificateError, DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
@@ -105,9 +105,6 @@ class ConvexPolygon:
                 a, b = b, a
             return ConvexPolygon([ComplexQuad(a), ComplexQuad(b)])
         return ConvexPolygon([v * c for v in self.vertices])
-
-    def mirror(self) -> ConvexPolygon:
-        return self.scale(ComplexQuad.from_int(-1))
 
     def conjugate(self) -> ConvexPolygon:
         if self.is_interval:
@@ -272,34 +269,6 @@ def _inward_planes(poly: ConvexPolygon, shift_by: ComplexQuad, erosion: RealQuad
             c_shift = c_shift + erosion * norm
         out.append((gx, gy, c_shift, nsq))
     return out
-
-
-def poly_erode(poly: ConvexPolygon, amount: RealQuad) -> Optional[ConvexPolygon]:
-    """Inward offset; None when the erosion is empty (or degenerate)."""
-    if amount.sign() < 0:
-        raise DomainError("erosion amount must be non-negative")
-    if poly.is_interval:
-        lo, hi = poly.interval_bounds()
-        lo2, hi2 = lo + amount, hi - amount
-        if (hi2 - lo2).sign() <= 0:
-            return None
-        return ConvexPolygon([ComplexQuad(lo2), ComplexQuad(hi2)])
-    pts = list(poly.vertices)
-    for gx, gy, c, nsq in _inward_planes(poly, ComplexQuad.zero(), amount):
-        pts = _clip(pts, gx, gy, c, keep_ge=True)
-        if not pts:
-            return None
-    if not _positive_area(pts):
-        return None
-    cleaned: list[ComplexQuad] = []
-    n = len(pts)
-    for i in range(n):
-        o, p, q = pts[i - 1], pts[i], pts[(i + 1) % n]
-        if p != o and _cross(o, p, q).sign() != 0:
-            cleaned.append(p)
-    if len(cleaned) < 3:
-        return None
-    return ConvexPolygon(cleaned)
 
 
 # -- separation ---------------------------------------------------------------

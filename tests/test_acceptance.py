@@ -12,7 +12,7 @@ from olnum.field import ComplexQuad, RealQuad, eval_radical
 from olnum.numeration import DigitString, eval_digits, format_digits, parse_digits, zero_has_nontrivial_rep
 from olnum.online_div import div_error_constant, div_run
 from olnum.online_mul import mul_run, mult_error_constant
-from olnum.params import eisenstein_params
+from olnum.params import div_params, eisenstein_params
 from olnum.preprocess import dmin_lower_bound, preprocess_divisor
 from olnum.presets import load_preset
 from olnum.region import (
@@ -54,7 +54,7 @@ def test_criterion1_golden_square_mult():
 
 def test_criterion1_golden_square_div():
     p = load_preset("golden-square")
-    ok = p.generic_div_params.delta == 7 and (p.div_params.delta, p.div_params.window_l) == (6, 9)
+    ok = div_params(p.sys, p.div_cert, p.preprocess.d_min).delta == 7 and (p.div_params.delta, p.div_params.window_l) == (6, 9)
     _report(ok, "criterion 1: golden-square div generic delta = 7, preset override (6, 9)")
 
 

@@ -88,6 +88,133 @@ def test_params_eisenstein_frontier(capsys):
     assert "frontier" in out
 
 
+# `olnum params` stdout, byte for byte, for every bundled preset and three
+# integer presets (one with an extended selector, one without division)
+PARAMS_STDOUT = {
+    ("golden-square", None): (
+        "system         mode  delta  L  alpha                     d_min                       source\n"
+        "golden-square  mult  4      3  -                         -                           preset\n"
+        "golden-square  mult  4      4  -                         -                           derived\n"
+        "golden-square  div   6      9  1347750661/1000000000000  [0.145898029, 0.145898074]  preset\n"
+        "golden-square  div   7      7  1347750661/1000000000000  [0.145898029, 0.145898074]  derived\n"
+    ),
+    ("golden-square", "mult"): (
+        "system         mode  delta  L  alpha  d_min  source\n"
+        "golden-square  mult  4      3  -      -      preset\n"
+        "golden-square  mult  4      4  -      -      derived\n"
+    ),
+    ("golden-square", "div"): (
+        "system         mode  delta  L  alpha                     d_min                       source\n"
+        "golden-square  div   6      9  1347750661/1000000000000  [0.145898029, 0.145898074]  preset\n"
+        "golden-square  div   7      7  1347750661/1000000000000  [0.145898029, 0.145898074]  derived\n"
+    ),
+    ("golden-mean", None): (
+        "system       mode  delta  L   alpha                    d_min                         source\n"
+        "golden-mean  mult  7      6   -                        -                             derived\n"
+        "golden-mean  div   12     13  2082388679/500000000000  [0.0901699141, 0.0901699513]  derived\n"
+    ),
+    ("golden-mean", "mult"): (
+        "system       mode  delta  L  alpha  d_min  source\n"
+        "golden-mean  mult  7      6  -      -      derived\n"
+    ),
+    ("golden-mean", "div"): (
+        "system       mode  delta  L   alpha                    d_min                         source\n"
+        "golden-mean  div   12     13  2082388679/500000000000  [0.0901699141, 0.0901699513]  derived\n"
+    ),
+    ("knuth", None): (
+        "system  mode  delta  L   alpha                   d_min                       source\n"
+        "knuth   mult  9      7   -                       -                           derived\n"
+        "knuth   div   11     11  541469639/500000000000  [0.166666667, 0.166666667]  derived\n"
+    ),
+    ("knuth", "mult"): (
+        "system  mode  delta  L  alpha  d_min  source\n"
+        "knuth   mult  9      7  -      -      derived\n"
+    ),
+    ("knuth", "div"): (
+        "system  mode  delta  L   alpha                   d_min                       source\n"
+        "knuth   div   11     11  541469639/500000000000  [0.166666667, 0.166666667]  derived\n"
+    ),
+    ("eisenstein", None): (
+        "system      mode  delta  L   alpha                     d_min                       source\n"
+        "eisenstein  mult  5      7   -                         -                           frontier mu=0.0594038 nu=0.178211\n"
+        "eisenstein  mult  6      6   -                         -                           frontier mu=0.10289 nu=0.10289\n"
+        "eisenstein  div   7      11  9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.0468028 nu=0.205006\n"
+        "eisenstein  div   8      10  9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.0810649 nu=0.119736\n"
+        "eisenstein  div   10     9   9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.140409 nu=0.0407065\n"
+    ),
+    ("eisenstein", "mult"): (
+        "system      mode  delta  L  alpha  d_min  source\n"
+        "eisenstein  mult  5      7  -      -      frontier mu=0.0594038 nu=0.178211\n"
+        "eisenstein  mult  6      6  -      -      frontier mu=0.10289 nu=0.10289\n"
+    ),
+    ("eisenstein", "div"): (
+        "system      mode  delta  L   alpha                     d_min                       source\n"
+        "eisenstein  div   7      11  9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.0468028 nu=0.205006\n"
+        "eisenstein  div   8      10  9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.0810649 nu=0.119736\n"
+        "eisenstein  div   10     9   9900626531/1000000000000  [0.322762727, 0.322762734]  frontier mu=0.140409 nu=0.0407065\n"
+    ),
+    ("base4", None): (
+        "system          mode  delta  L  alpha                   d_min                         source\n"
+        "integer:4:-2:2  mult  3      2  -                       -                             derived\n"
+        "integer:4:-2:2  div   6      5  520833333/500000000000  [0.0833333333, 0.0833333333]  derived\n"
+    ),
+    ("base4", "mult"): (
+        "system          mode  delta  L  alpha  d_min  source\n"
+        "integer:4:-2:2  mult  3      2  -      -      derived\n"
+    ),
+    ("base4", "div"): (
+        "system          mode  delta  L  alpha                   d_min                         source\n"
+        "integer:4:-2:2  div   6      5  520833333/500000000000  [0.0833333333, 0.0833333333]  derived\n"
+    ),
+    ("integer:2:-1:1", None): (
+        "system          mode  delta  L  alpha                    d_min         source\n"
+        "integer:2:-1:1  mult  5      4  -                        -             derived\n"
+        "integer:2:-1:1  div   8      8  3645833333/500000000000  [0.25, 0.25]  derived\n"
+    ),
+    ("integer:2:-1:1", "mult"): (
+        "system          mode  delta  L  alpha  d_min  source\n"
+        "integer:2:-1:1  mult  5      4  -      -      derived\n"
+    ),
+    ("integer:2:-1:1", "div"): (
+        "system          mode  delta  L  alpha                    d_min         source\n"
+        "integer:2:-1:1  div   8      8  3645833333/500000000000  [0.25, 0.25]  derived\n"
+    ),
+    ("integer:-3:-3:3", None): (
+        "system           mode  delta  L  alpha  d_min  source\n"
+        "integer:-3:-3:3  mult  4      2  -      -      derived\n"
+        "integer:-3:-3:3  div   -      -  -      -      unavailable\n"
+    ),
+    ("integer:-3:-3:3", "mult"): (
+        "system           mode  delta  L  alpha  d_min  source\n"
+        "integer:-3:-3:3  mult  4      2  -      -      derived\n"
+    ),
+    ("integer:-3:-3:3", "div"): (
+        "system           mode  delta  L  alpha  d_min  source\n"
+        "integer:-3:-3:3  div   -      -  -      -      unavailable\n"
+    ),
+    ("integer:3:0:3", None): (
+        "system         mode  delta  L  alpha                     d_min                       source\n"
+        "integer:3:0:3  mult  5      3  -                         -                           derived\n"
+        "integer:3:0:3  div   7      7  1736111111/1000000000000  [0.166666667, 0.166666667]  derived\n"
+    ),
+    ("integer:3:0:3", "mult"): (
+        "system         mode  delta  L  alpha  d_min  source\n"
+        "integer:3:0:3  mult  5      3  -      -      derived\n"
+    ),
+    ("integer:3:0:3", "div"): (
+        "system         mode  delta  L  alpha                     d_min                       source\n"
+        "integer:3:0:3  div   7      7  1736111111/1000000000000  [0.166666667, 0.166666667]  derived\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name,mode", list(PARAMS_STDOUT))
+def test_params_stdout_pinned(capsys, name, mode):
+    rc = main(["params", "--preset", name] + (["--mode", mode] if mode else []))
+    assert rc == 0
+    assert capsys.readouterr().out == PARAMS_STDOUT[name, mode]
+
+
 def test_encode_eval_roundtrip(capsys, tmp_path):
     rc = main(["encode", "--preset", "golden-square", "--value", "2/5", "--digits", "8"])
     assert rc == 0

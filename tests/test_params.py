@@ -10,7 +10,9 @@ from olnum.params import (
     integer_base_delay,
     mult_params,
 )
-from olnum.presets import load_preset
+from olnum import params as params_mod
+from olnum import presets as presets_mod
+from olnum.presets import EISENSTEIN_PAIRS, load_preset
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ class TestMultParams:
 
     def test_golden_generic_window(self, golden):
         # the generic tail inequality needs four digits; the preset publishes 3
-        assert golden.generic_mult_params.window_l == 4
+        assert mult_params(golden.sys, golden.cert).window_l == 4
         assert golden.mult_params.window_l == 3
 
     def test_knuth(self, knuth):
@@ -52,14 +54,14 @@ class TestMultParams:
         sys_ = golden.sys
         bigger = OLCertificate(golden.cert.region, golden.cert.epsilon * RealQuad(2))
         p_big = mult_params(sys_, bigger)
-        p_ref = golden.generic_mult_params
+        p_ref = mult_params(sys_, golden.cert)
         assert p_big.delta <= p_ref.delta
         assert p_big.window_l <= p_ref.window_l
 
 
 class TestDivParams:
     def test_golden_generic_delta(self, golden):
-        assert golden.generic_div_params.delta == 7
+        assert div_params(golden.sys, golden.div_cert, golden.preprocess.d_min).delta == 7
 
     def test_golden_preset_override(self, golden):
         assert (golden.div_params.delta, golden.div_params.window_l) == (6, 9)
@@ -71,7 +73,7 @@ class TestDivParams:
 
     def test_alpha_inequality(self, knuth):
         # alpha (1 + |beta| K + eps) < (eps/2) D_min with certainty
-        p = knuth.generic_div_params
+        p = div_params(knuth.sys, knuth.cert, knuth.preprocess.d_min)
         prec = Fraction(1, 10**9)
         lhs = RationalInterval.point(p.alpha) * (
             1 + knuth.sys.abs_beta(prec) * knuth.cert.k_bound + knuth.cert.epsilon.to_interval(prec)
@@ -138,3 +140,26 @@ class TestEisensteinFrontier:
     def test_bad_kind(self):
         with pytest.raises(DomainError):
             eisenstein_params("other")
+
+
+class TestEisensteinPins:
+    def test_pins_are_the_frontier_choices(self):
+        chosen = {"mult": eisenstein_params("mult")[0], "div": eisenstein_params("div")[-1]}
+        p = load_preset("eisenstein")
+        for kind, cert, params in (("mult", p.cert, p.mult_params), ("div", p.div_cert, p.div_params)):
+            point = chosen[kind]
+            assert EISENSTEIN_PAIRS[kind] == (point.delta, point.window_l) == (params.delta, params.window_l)
+            assert (cert.mu, cert.nu) == (RealQuad.from_fraction(point.mu), RealQuad.from_fraction(point.nu))
+
+    def test_load_sweeps_no_frontier(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("preset load swept a frontier")
+
+        monkeypatch.setattr(params_mod, "eisenstein_params", sweep)
+        monkeypatch.setattr(presets_mod, "eisenstein_params", sweep, raising=False)
+        load_preset.cache_clear()
+        try:
+            p = load_preset("eisenstein")
+        finally:
+            load_preset.cache_clear()
+        assert (p.mult_params.delta, p.div_params.delta) == (5, 10)

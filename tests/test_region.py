@@ -11,7 +11,6 @@ from olnum.region import (
     OLCertificate,
     complex_parallelogram_certificate,
     digit_select,
-    poly_erode,
     real_interval_certificate,
     region_contains,
     verify_certificate,
@@ -49,30 +48,6 @@ class TestConvexPolygon:
         assert region_contains(square, _cq((1, 0, 2), (1, 0, 2)))
         assert region_contains(square, _cq(1, 1))  # closed at the corner
         assert not region_contains(square, _cq(2, 0))
-
-
-class TestPolyErode:
-    def test_unit_square_quarter(self):
-        square = ConvexPolygon([_cq(0, 0), _cq(1, 0), _cq(1, 1), _cq(0, 1)])
-        eroded = poly_erode(square, RealQuad(1, 0, 4))
-        assert eroded is not None
-        xs = sorted(set((v.re.a, v.re.q) for v in eroded.vertices))
-        assert xs == [(1, 4), (3, 4)]
-
-    def test_interval(self):
-        seg = ConvexPolygon([_cq(-2), _cq(2)])
-        eroded = poly_erode(seg, RealQuad(1, 0, 2))
-        lo, hi = eroded.interval_bounds()
-        assert lo == RealQuad(-3, 0, 2) and hi == RealQuad(3, 0, 2)
-
-    def test_exceeds_inradius(self):
-        square = ConvexPolygon([_cq(0, 0), _cq(1, 0), _cq(1, 1), _cq(0, 1)])
-        assert poly_erode(square, RealQuad(3, 0, 4)) is None
-
-    def test_negative_amount(self):
-        seg = ConvexPolygon([_cq(-2), _cq(2)])
-        with pytest.raises(DomainError):
-            poly_erode(seg, RealQuad(-1))
 
 
 class TestRealIntervalCertificate:
