@@ -17,7 +17,6 @@ from .numeration import (
     encode_value,
     eval_digits,
     format_digits,
-    make_system,
     parse_digits,
     zero_has_nontrivial_rep,
 )
@@ -48,7 +47,6 @@ from .select import (
     Window,
     select_d,
     select_m,
-    select_m_extended,
     synthesize_table,
     truncate,
 )

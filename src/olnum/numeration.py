@@ -16,6 +16,7 @@ from .errors import CriterionInapplicableError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
 
 POINT_TOKEN = "."
+MAX_SHIFT = 64  # scaling steps an encoder may take to bring a value into the region
 
 
 class NumerationSystem:
@@ -171,7 +172,7 @@ class NumerationSystem:
             symbols = [str(s) for s in obj["symbols"]]
         except KeyError as exc:
             raise ParseError(f"system config missing key {exc}") from exc
-        return make_system(base, alphabet, symbols)
+        return cls(base, alphabet, symbols)
 
 
 def sqrt_enclosure(x: RealQuad, max_width: Fraction, hint_d: int = 0) -> RationalInterval:
@@ -179,14 +180,6 @@ def sqrt_enclosure(x: RealQuad, max_width: Fraction, hint_d: int = 0) -> Rationa
     if exact is not None:
         return exact.to_interval(max_width)
     return x.to_interval(max_width * max_width / 4).sqrt(max_width)
-
-
-def make_system(
-    base: ComplexQuad,
-    alphabet: Sequence[ComplexQuad],
-    symbols: Sequence[str],
-) -> NumerationSystem:
-    return NumerationSystem(base, alphabet, symbols)
 
 
 # -- digit strings ----------------------------------------------------------
@@ -249,7 +242,7 @@ def eval_digits(sys: NumerationSystem, ds: DigitString, upto: int | None = None)
 # -- encoding ------------------------------------------------------------------
 
 
-def encode_value(sys, cert, v: ComplexQuad, n: int, max_shift: int = 64):
+def encode_value(sys, cert, v: ComplexQuad, n: int):
     """Encode an exact value into n fractional digits using the certificate's
     digit selector; returns (digits, shift) with value = beta^shift * 0.d1..dn
     up to the K*|beta|^-n tail.  The value is scaled into the region first."""
@@ -257,7 +250,7 @@ def encode_value(sys, cert, v: ComplexQuad, n: int, max_shift: int = 64):
         raise DomainError("digit count must be non-negative")
     if v.is_zero():
         return DigitString.make(sys, [sys.zero_index], [sys.zero_index] * n), 0
-    reduced = scale_into_region(sys, cert, v, sys.inv_base, max_shift)
+    reduced = scale_into_region(sys, cert, v, sys.inv_base)
     if reduced is None:
         raise DomainError("value not reducible into the certificate region within the shift budget")
     r, shift = reduced
@@ -265,15 +258,15 @@ def encode_value(sys, cert, v: ComplexQuad, n: int, max_shift: int = 64):
     return DigitString.make(sys, [sys.zero_index], digits), shift
 
 
-def scale_into_region(sys, cert, v: ComplexQuad, factor: ComplexQuad, max_steps: int):
+def scale_into_region(sys, cert, v: ComplexQuad, factor: ComplexQuad):
     """Multiply v by factor until it lies in the certificate region; returns
-    (scaled value, number of multiplications), or None when max_steps
+    (scaled value, number of multiplications), or None when MAX_SHIFT
     multiplications do not get it there."""
     from .region import region_contains
 
     steps = 0
     while not region_contains(cert.region, v):
-        if steps >= max_steps:
+        if steps >= MAX_SHIFT:
             return None
         v = v * factor
         steps += 1

@@ -17,9 +17,9 @@ from typing import Callable, Iterable
 from .errors import DomainError
 from .field import ComplexQuad, RationalInterval
 from .numeration import DigitString, NumerationSystem
-from .online_mul import InvariantViolation, OnlineState, operand_stream, run_online
+from .online_mul import InvariantViolation, OnlineState, check_containment, operand_stream, run_online
 from .params import ParamSet
-from .region import OLCertificate, VARIANT_MU_NU, region_dist_sq
+from .region import OLCertificate, VARIANT_MU_NU
 from .select import Window, select_d, select_d_exact, truncate, window_value
 
 DivSelectFn = Callable[[NumerationSystem, OLCertificate, Window, Window], int]
@@ -64,27 +64,14 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window
     expected = sys.beta_pow(k) * (state.x_partial - state.out_partial * state.y_partial)
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (N - Q D)")
-    fatten = cert.div_fatten(sys)
-    z = w_new / state.y_partial
-    dist = region_dist_sq(cert.beta_region(sys), z)
-    if (dist - fatten * fatten).sign() > 0:
-        raise InvariantViolation(f"step {k}: W/D left the fattened selection region")
     # windowed pipeline vs exact-arithmetic selection at the same truncation
     v = window_value(sys, w_window)
     delta = window_value(sys, d_window)
     exact = select_d_exact(cert, sys, v, delta)
     if exact != q:
         raise InvariantViolation(f"step {k}: windowed selection {q} differs from exact selection {exact}")
-    # selection remainder stays inside the (half-slack) fattened region
-    rem = z - sys.digit(q)
-    if cert.variant == VARIANT_MU_NU:
-        assert cert.mu is not None
-        slack = cert.mu
-    else:
-        slack = cert.epsilon / 2
-    rem_dist = region_dist_sq(cert.region, rem)
-    if (rem_dist - slack * slack).sign() > 0:
-        raise InvariantViolation(f"step {k}: selection remainder left the fattened region")
+    slack = cert.mu if cert.variant == VARIANT_MU_NU else cert.epsilon / 2
+    check_containment(state, k, w_new / state.y_partial, q, cert.div_fatten(sys), slack, "W/D")
 
 
 @dataclass(frozen=True)
@@ -114,6 +101,9 @@ def div_run(
         raise DomainError("parameter set is not for division")
     if params.alpha is None or params.d_min is None:
         raise DomainError("division parameters need alpha and a divisor lower bound")
+    if cert.right_of_zero:
+        raise DomainError("division unavailable: the region lies right of zero (non-negative alphabet), "
+                          "and division has no growth phase")
     if select_fn is None:
         select_fn = make_generic_div_select(params.alpha, params.d_min)
     extra_shift = _quotient_guard(sys, cert, params)

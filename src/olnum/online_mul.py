@@ -19,37 +19,23 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OlnumError
-from .field import ComplexQuad, RationalInterval
+from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import DigitString, NumerationSystem
 from .params import ParamSet
-from .region import (
-    OLCertificate,
-    VARIANT_MU_NU,
-    digit_select,
-    region_contains,
-    region_dist_sq,
-)
-from .select import Window, below_growth_threshold, select_m, select_m_extended, window_encode, window_value
+from .region import OLCertificate, VARIANT_MU_NU, digit_select, in_growth_phase, region_dist_sq
+from .select import Window, select_m, window_encode, window_value
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
 ExactFn = Callable[[NumerationSystem, OLCertificate, ComplexQuad], int]
+
+_RQ0 = RealQuad(0)
 
 
 def generic_mult_select(sys: NumerationSystem, cert: OLCertificate, w: Window) -> int:
     return select_m(cert, sys, w)
 
 
-def extended_mult_select(sys: NumerationSystem, cert: OLCertificate, w: Window) -> int:
-    return select_m_extended(cert, sys, w)
-
-
 def generic_mult_exact(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> int:
-    return digit_select(cert, sys, v)
-
-
-def extended_mult_exact(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> int:
-    if below_growth_threshold(sys, cert, v):
-        return sys.zero_index
     return digit_select(cert, sys, v)
 
 
@@ -138,16 +124,18 @@ def mul_step(state: OnlineState, x_idx: int, y_idx: int) -> tuple[ComplexQuad, t
     return w_new, ()
 
 
-def _in_growth_phase(sys: NumerationSystem, cert: OLCertificate, w: ComplexQuad, p: int) -> bool:
-    """Non-negative alphabets exclude zero from the region; until W climbs
-    into the selection domain the emitted digit is 0 and the containment
-    invariants do not yet apply."""
-    if cert.contains_zero or not cert.region.is_interval or p != sys.zero_index:
-        return False
-    if not w.is_real() or w.re.sign() < 0:
-        return False
-    lam, _ = cert.region.interval_bounds()
-    return lam.sign() > 0 and below_growth_threshold(sys, cert, w)
+def check_containment(
+    state: OnlineState, k: int, z: ComplexQuad, p: int, fatten: RealQuad, slack: RealQuad, name: str
+) -> None:
+    """The monitor's containment invariants, shared by both recurrences: z
+    (W, or W/D in division) lies within fatten of beta*I, and the selection
+    remainder z - p within slack of I (slack 0: inside I)."""
+    sys, cert = state.sys, state.cert
+    if (region_dist_sq(cert.beta_region(sys), z) - fatten * fatten).sign() > 0:
+        raise InvariantViolation(f"step {k}: {name} left the fattened selection region")
+    if (region_dist_sq(cert.region, z - sys.digit(p)) - slack * slack).sign() > 0:
+        region = "fattened region" if slack.sign() else "region"
+        raise InvariantViolation(f"step {k}: selection remainder left the {region}")
 
 
 def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: Window) -> None:
@@ -159,21 +147,12 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: 
     exact = state.exact_fn(sys, cert, window_value(sys, window))
     if exact != p:
         raise InvariantViolation(f"step {k}: windowed selection {p} differs from exact selection {exact}")
-    if _in_growth_phase(sys, cert, w_new, p):
+    # until W grows into the selection domain the digit is 0 and the
+    # containment invariants do not yet apply
+    if p == sys.zero_index and in_growth_phase(cert, sys, w_new):
         return
-    fatten = cert.mult_fatten()
-    dist = region_dist_sq(cert.beta_region(sys), w_new)
-    if (dist - fatten * fatten).sign() > 0:
-        raise InvariantViolation(f"step {k}: W left the fattened selection region")
-    # selection remainder stays inside the certificate region (exact state)
-    rem = w_new - sys.digit(p)
-    if cert.variant == VARIANT_MU_NU:
-        assert cert.mu is not None
-        rem_dist = region_dist_sq(cert.region, rem)
-        if (rem_dist - cert.mu * cert.mu).sign() > 0:
-            raise InvariantViolation(f"step {k}: selection remainder left the fattened region")
-    elif not region_contains(cert.region, rem):
-        raise InvariantViolation(f"step {k}: selection remainder left the region")
+    slack = cert.mu if cert.variant == VARIANT_MU_NU else _RQ0
+    check_containment(state, k, w_new, p, cert.mult_fatten(), slack, "W")
 
 
 def mul_run(

@@ -230,15 +230,16 @@ def _eis_feasible(kind: str, delta: int, L: int) -> FrontierPoint | None:
     raise DomainError("mu/nu feasibility undecided within interval resolution")
 
 
-def eisenstein_params(kind: str, max_exp: int = 24) -> list[FrontierPoint]:
-    """Pareto frontier of (delta, L) pairs admitting rational mu, nu > 0
-    within the covering budget, with re-verified witnesses."""
+def eisenstein_params(kind: str) -> list[FrontierPoint]:
+    """Pareto frontier of (delta, L) pairs, delta and L at most 24, admitting
+    rational mu, nu > 0 within the covering budget, with re-verified
+    witnesses."""
     if kind not in ("mult", "div"):
         raise DomainError("kind must be 'mult' or 'div'")
     found: list[FrontierPoint] = []
     best_l: int | None = None
-    for delta in range(1, max_exp + 1):
-        hi = best_l if best_l is not None else max_exp + 1
+    for delta in range(1, 25):
+        hi = best_l if best_l is not None else 25
         choice: FrontierPoint | None = None
         for L in range(1, hi):
             point = _eis_feasible(kind, delta, L)

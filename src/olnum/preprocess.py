@@ -109,7 +109,6 @@ def preprocess_divisor(
     spec: PreprocessSpec,
     sys: NumerationSystem,
     ds: DigitString,
-    max_steps: int | None = None,
 ) -> tuple[DigitString, int]:
     """Apply the first matching rule at the leading nonzero digit until no
     rule applies, then shift the point so the first digit is nonzero.
@@ -117,7 +116,7 @@ def preprocess_divisor(
     n_int = len(ds.int_digits)
     seq = list(ds.int_digits) + list(ds.frac_digits)
     zero = sys.zero_index
-    budget = max_steps if max_steps is not None else 10 * len(seq) + 100
+    budget = 10 * len(seq) + 100
     steps = 0
     while True:
         lead = 0

@@ -15,16 +15,9 @@ from functools import lru_cache
 
 from .errors import CertificateError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import NumerationSystem, make_system
+from .numeration import NumerationSystem
 from .online_div import DivSelectFn, make_generic_div_select
-from .online_mul import (
-    ExactFn,
-    SelectFn,
-    extended_mult_exact,
-    extended_mult_select,
-    generic_mult_exact,
-    generic_mult_select,
-)
+from .online_mul import ExactFn, SelectFn, generic_mult_exact, generic_mult_select
 from .params import FrontierPoint, ParamSet, _eis_feasible, div_params, mult_params
 from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_search, expand_rules, verify_rules
 from .region import (
@@ -44,7 +37,9 @@ _IV = Fraction(1, 10**9)
 class Preset:
     """What a run reads.  The generic parameters and the Eisenstein frontier
     are derived where they are printed (``olnum params``); the integer-window
-    bounds are computed on first use."""
+    bounds are computed on first use.  Selection policy, such as the growth
+    phase of non-negative alphabets, belongs to the certificate, so every
+    preset shares one exact selector, ``mult_exact``."""
 
     name: str
     sys: NumerationSystem
@@ -54,8 +49,8 @@ class Preset:
     mult_params: ParamSet
     div_params: ParamSet | None
     mult_select: SelectFn
-    mult_exact: ExactFn
     div_select: DivSelectFn | None
+    mult_exact: ExactFn = field(default_factory=lambda: generic_mult_exact, init=False, repr=False, compare=False)
     _max_int_mult: int | None = field(default=None, init=False, repr=False, compare=False)
     _max_int_div: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -99,7 +94,6 @@ def derived_preset(name: str, sys: NumerationSystem, cert: OLCertificate, spec: 
         mult_params=mult_params(sys, cert),
         div_params=gen_div,
         mult_select=generic_mult_select,
-        mult_exact=generic_mult_exact,
         div_select=make_generic_div_select(gen_div.alpha, gen_div.d_min) if gen_div else None,
     )
 
@@ -129,7 +123,7 @@ def _validate(preset: Preset) -> Preset:
 def _golden_square() -> Preset:
     beta = ComplexQuad(RealQuad(3, 1, 2, 5))
     digits, symbols = _int_digits([-1, 0, 1])
-    sys = make_system(beta, digits, symbols)
+    sys = NumerationSystem(beta, digits, symbols)
     cert = real_interval_certificate(sys)
     d_min = dmin_lower_bound(sys, (), 1)  # exact 1/beta^2
     derived = derived_preset("golden-square", sys, cert, PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1))
@@ -152,7 +146,7 @@ def _golden_square() -> Preset:
 def _golden_mean() -> Preset:
     beta = ComplexQuad(RealQuad(1, 1, 2, 5))
     digits, symbols = _int_digits([-1, 0, 1])
-    sys = make_system(beta, digits, symbols)
+    sys = NumerationSystem(beta, digits, symbols)
     cert = real_interval_certificate(sys)
     one = sys.index_of_symbol("1")
     neg = sys.index_of_symbol("-1")
@@ -170,7 +164,7 @@ def _golden_mean() -> Preset:
 def _knuth() -> Preset:
     beta = ComplexQuad(RealQuad(0), RealQuad(2))
     digits, symbols = _int_digits([-2, -1, 0, 1, 2])
-    sys = make_system(beta, digits, symbols)
+    sys = NumerationSystem(beta, digits, symbols)
     oblong = ConvexPolygon([
         ComplexQuad(RealQuad(5, 0, 9), RealQuad(-11, 0, 9)),
         ComplexQuad(RealQuad(5, 0, 9), RealQuad(11, 0, 9)),
@@ -193,7 +187,7 @@ def eisenstein_system() -> NumerationSystem:
         omega, -omega, omega2, -omega2,
     ]
     symbols = ["0", "1", "-1", "w", "-w", "W", "-W"]
-    return make_system(beta, values, symbols)
+    return NumerationSystem(beta, values, symbols)
 
 
 def eisenstein_hexagon() -> ConvexPolygon:
@@ -253,7 +247,7 @@ def _eisenstein() -> Preset:
         return OLCertificate(hexagon, r, variant=VARIANT_MU_NU, mu=mu, nu=nu)
 
     rules = eisenstein_rules(sys)
-    d_min = dmin_lower_bound(sys, rules, 3, precision=Fraction(1, 10**7))
+    d_min = dmin_lower_bound(sys, rules, 3)
     alpha = _eisenstein_alpha(sys, div_choice.mu, d_min)
     return Preset(
         name="eisenstein",
@@ -264,7 +258,6 @@ def _eisenstein() -> Preset:
         mult_params=ParamSet(delta=mult_choice.delta, window_l=mult_choice.window_l, mode="mult"),
         div_params=ParamSet(delta=div_choice.delta, window_l=div_choice.window_l, mode="div", alpha=alpha, d_min=d_min),
         mult_select=generic_mult_select,
-        mult_exact=generic_mult_exact,
         div_select=make_generic_div_select(alpha, d_min),
     )
 
@@ -288,12 +281,9 @@ def _integer_preset(b: int, m: int, M: int) -> Preset:
         raise DomainError("alphabet must contain zero")
     beta = ComplexQuad.from_int(b)
     digits, symbols = _int_digits(list(range(m, M + 1)))
-    sys = make_system(beta, digits, symbols)
+    sys = NumerationSystem(beta, digits, symbols)
     cert = real_interval_certificate(sys)
-    preset = derived_preset(f"integer:{b}:{m}:{M}", sys, cert, _integer_preprocess(sys, b, m, M))
-    if b > 1 and m == 0:
-        return replace(preset, mult_select=extended_mult_select, mult_exact=extended_mult_exact)
-    return preset
+    return derived_preset(f"integer:{b}:{m}:{M}", sys, cert, _integer_preprocess(sys, b, m, M))
 
 
 def _integer_preprocess(sys: NumerationSystem, b: int, m: int, M: int) -> PreprocessSpec:

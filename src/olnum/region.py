@@ -363,7 +363,6 @@ class OLCertificate:
         mu: RealQuad | None = None,
         nu: RealQuad | None = None,
         witness: ParallelogramWitness | None = None,
-        k_precision: Fraction = Fraction(1, 10**12),
     ):
         if epsilon.sign() <= 0:
             raise CertificateError("epsilon must be positive")
@@ -378,7 +377,10 @@ class OLCertificate:
         self.nu = nu
         self.witness = witness
         self.contains_zero = region_contains(region, ComplexQuad.zero())
-        self.k_bound = _k_bound(region, k_precision)
+        # an interval strictly right of zero: a non-negative alphabet, whose
+        # multiplication starts with a growth phase (in_growth_phase)
+        self.right_of_zero = region.is_interval and region.interval_bounds()[0].sign() > 0
+        self.k_bound = _k_bound(region, Fraction(1, 10**12))
         self._scaled: dict[ComplexQuad, ConvexPolygon] = {}
 
     # largest |x| over the region, attained at a vertex
@@ -470,7 +472,7 @@ def real_interval_certificate(sys: NumerationSystem) -> OLCertificate:
     return OLCertificate(region, eps)
 
 
-def complex_parallelogram_certificate(sys: NumerationSystem, max_eps_steps: int = 20) -> OLCertificate:
+def complex_parallelogram_certificate(sys: NumerationSystem) -> OLCertificate:
     base = sys.base
     if base.is_real():
         raise DomainError("parallelogram construction needs a non-real base")
@@ -515,7 +517,7 @@ def complex_parallelogram_certificate(sys: NumerationSystem, max_eps_steps: int 
     region = region0.conjugate() if need_conj else region0
     witness = ParallelogramWitness(x0=x0, a2=a2, vertex_a=va, vertex_b=vb)
 
-    for k in range(1, max_eps_steps + 1):
+    for k in range(1, 21):  # epsilon = 1/2 .. 1/2^20
         eps = RealQuad(1, 0, 2**k)
         cert = OLCertificate(region, eps, witness=witness)
         if verify_certificate(sys, cert).passed:
@@ -664,10 +666,23 @@ def nearest_digit(sys: NumerationSystem, v: ComplexQuad) -> int:
     return nearest_qualifying(sys, v, None, None)
 
 
+def in_growth_phase(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> bool:
+    """On a region right of zero, v is real with 0 <= v < base*lambda - eps/2:
+    the value (W) has not yet grown into the selection domain, and its digit
+    is 0."""
+    if not cert.right_of_zero or not v.is_real() or v.re.sign() < 0:
+        return False
+    lam, _ = cert.region.interval_bounds()
+    return (v.re - (sys.base.re * lam - cert.epsilon / 2)).sign() < 0
+
+
 def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
     """Digit selector realized by the certificate: returns a with
     B(v, eps) inside region + a; nearest-qualifying with alphabet-order ties.
-    The mu/nu variant selects the nearest digit."""
+    The mu/nu variant selects the nearest digit.  In the growth phase the
+    digit is 0."""
+    if in_growth_phase(cert, sys, v):
+        return sys.zero_index
     fatten = cert.select_fatten()
     dist = region_dist_sq(cert.beta_region(sys), v)
     if (dist - fatten * fatten).sign() > 0:

@@ -3,10 +3,9 @@
 A window keeps the full integer part of an auxiliary value plus its first L
 fractional digits, together with a certified bound on the discarded tail.
 Selection evaluates the window exactly and applies the certificate's digit
-selector; specialized rules for the golden-square, Knuth and
-Eisenstein systems are provided alongside, plus the integer-window bound and
-lookup-table synthesis over the finitely many windows that fit a bounded
-domain.
+selector; specialized rules for the golden-square and Knuth systems are
+provided alongside, plus the integer-window bound and lookup-table
+synthesis over the finitely many windows that fit a bounded domain.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .region import (
     VARIANT_MU_NU,
     digit_select,
     digit_select_total,
-    nearest_digit,
     nearest_qualifying,
     region_dist_sq,
 )
@@ -64,7 +62,7 @@ def truncate(sys: NumerationSystem, ds: DigitString, L: int) -> Window:
     return Window(DigitString(ds.int_digits, kept), L, tail)
 
 
-def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad, L: int, max_shift: int = 64) -> Window:
+def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad, L: int) -> Window:
     """Exact digit window of a field value: scale into the region, emit the
     integer part plus L fractional digits via the certificate selector.  The
     tail is the exact residual, bounded by K * |beta|^-L."""
@@ -74,13 +72,13 @@ def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad
             L,
             RationalInterval.point(0),
         )
-    reduced = scale_into_region(sys, cert, value, sys.inv_base, max_shift)
+    reduced = scale_into_region(sys, cert, value, sys.inv_base)
     if reduced is not None:
         r, shift = reduced
     else:
         # not reachable by scaling down: try scaling up (values below a
         # region that sits right of zero)
-        reduced = scale_into_region(sys, cert, value, sys.base, max_shift)
+        reduced = scale_into_region(sys, cert, value, sys.base)
         if reduced is None:
             raise DomainError("value not reducible into the certificate region")
         r, shift = reduced[0], -reduced[1]
@@ -114,27 +112,6 @@ def select_m(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     if not _tail_below(w.tail_bound, radius):
         raise DomainError("window tail bound too large for the truncation radius")
     return digit_select(cert, sys, window_value(sys, w))
-
-
-def below_growth_threshold(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> bool:
-    """For an interval region right of zero (non-negative alphabets): v is
-    real and below base*lambda - epsilon/2, so W is still growing into the
-    selection domain and the digit is 0."""
-    lam, _ = cert.region.interval_bounds()
-    return v.is_real() and (v.re - (sys.base.re * lam - cert.epsilon / 2)).sign() < 0
-
-
-def select_m_extended(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
-    """Select for non-negative alphabets (base > 1, digits 0..M): emits 0
-    while the value is still below the region's reach."""
-    if cert.variant == VARIANT_MU_NU or not cert.region.is_interval:
-        raise DomainError("extended select applies to interval certificates only")
-    lam, _ = cert.region.interval_bounds()
-    if lam.sign() <= 0:
-        raise DomainError("extended select applies when the region lies right of zero")
-    if below_growth_threshold(sys, cert, window_value(sys, w)):
-        return sys.zero_index
-    return select_m(cert, sys, w)
 
 
 def _scaled_ball_fits(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad, digit_index: int) -> bool:
@@ -172,7 +149,7 @@ def select_d(
     w: Window,
     d: Window,
     alpha: Fraction,
-    d_min: RationalInterval | None = None,
+    d_min: RationalInterval,
 ) -> int:
     alpha_rq = RealQuad.from_fraction(alpha)
     if not _tail_below(w.tail_bound, alpha_rq) or not _tail_below(d.tail_bound, alpha_rq):
@@ -181,10 +158,8 @@ def select_d(
     delta = window_value(sys, d)
     if delta.is_zero():
         raise DomainError("divisor window evaluates to zero")
-    if d_min is not None:
-        lo_sq = RealQuad.from_fraction(d_min.lo * d_min.lo)
-        if (delta.norm_sq() - lo_sq).sign() < 0:
-            raise DomainError("divisor window below the certified minimum modulus")
+    if (delta.norm_sq() - RealQuad.from_fraction(d_min.lo * d_min.lo)).sign() < 0:
+        raise DomainError("divisor window below the certified minimum modulus")
     return select_d_exact(cert, sys, v, delta)
 
 
@@ -277,10 +252,6 @@ def knuth_digit_rule(sys: NumerationSystem, w: Window) -> int:
     return _index_of_int(sys, -2)
 
 
-def eisenstein_digit_rule(sys: NumerationSystem, w: Window) -> int:
-    return nearest_digit(sys, window_value(sys, w))
-
-
 def _index_of_int(sys: NumerationSystem, n: int) -> int:
     idx = sys.index_of_value(ComplexQuad.from_int(n))
     if idx is None:
@@ -335,14 +306,13 @@ def max_int_window(
     sys: NumerationSystem,
     domain: ConvexPolygon,
     rules: tuple[RewriteRule, ...] = (),
-    depth_cap: int = 12,
 ) -> int:
     """Largest number of integer positions a window can occupy while its value
     can still meet the domain: the windows below int_window_ceiling are
     enumerated, pruned by modulus.  Raises when that ceiling does not exist."""
     reach = _domain_reach(sys, domain)
     frac = _frac_reach(sys)
-    bound = int_window_ceiling(sys, reach, rules, depth_cap)
+    bound = int_window_ceiling(sys, reach, rules, depth_cap=12)
     reach_sq = RealQuad.from_fraction(frac ** 2)
     prune_sq = RealQuad.from_fraction((reach + 2 * frac + 1) ** 2)
     best = 0
@@ -376,13 +346,12 @@ def synthesize_table(
     L: int,
     domain: ConvexPolygon,
     rules: tuple[RewriteRule, ...] | None = None,
-    max_entries: int = 1_000_000,
 ) -> SelectTable:
     rule_set = tuple(rules) if rules else ()
     n_int = max_int_window(sys, domain, rule_set)
     n_positions = n_int + L
     count = len(sys.alphabet) ** n_positions
-    if count > max_entries:
+    if count > 1_000_000:
         raise DomainError(f"table of {count} entries exceeds the budget")
     entries: dict[tuple[int, ...], int] = {}
     indices = range(len(sys.alphabet))

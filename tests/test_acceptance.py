@@ -9,7 +9,14 @@ from itertools import product
 import pytest
 
 from olnum.field import ComplexQuad, RealQuad, eval_radical
-from olnum.numeration import DigitString, eval_digits, format_digits, parse_digits, zero_has_nontrivial_rep
+from olnum.numeration import (
+    DigitString,
+    NumerationSystem,
+    eval_digits,
+    format_digits,
+    parse_digits,
+    zero_has_nontrivial_rep,
+)
 from olnum.online_div import div_error_constant, div_run
 from olnum.online_mul import mul_run, mult_error_constant
 from olnum.params import div_params, eisenstein_params
@@ -121,11 +128,9 @@ def test_criterion2_parallelogram_construction():
     sys_2i = load_preset("knuth").sys
     cert = complex_parallelogram_certificate(sys_2i)
     ok = ok and verify_certificate(sys_2i, cert).passed
-    from olnum.numeration import make_system
-
     beta = ComplexQuad(RealQuad(-3, 0, 2), RealQuad(0, 1, 2, 3))
     digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2, 3, -3)]
-    sys_e = make_system(beta, digits, [str(v) for v in (0, 1, -1, 2, -2, 3, -3)])
+    sys_e = NumerationSystem(beta, digits, [str(v) for v in (0, 1, -1, 2, -2, 3, -3)])
     cert_e = complex_parallelogram_certificate(sys_e)
     ok = ok and verify_certificate(sys_e, cert_e).passed
     _report(ok, "criterion 2: parallelogram construction verifies for 2i and -3/2 + i sqrt(3)/2")

@@ -89,7 +89,7 @@ def test_params_eisenstein_frontier(capsys):
 
 
 # `olnum params` stdout, byte for byte, for every bundled preset and three
-# integer presets (one with an extended selector, one without division)
+# integer presets (one on a non-negative alphabet, one without division)
 PARAMS_STDOUT = {
     ("golden-square", None): (
         "system         mode  delta  L  alpha                     d_min                       source\n"
@@ -338,6 +338,40 @@ def test_custom_system_mul(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("0 .")
+
+
+NONNEG_SYSTEM = {"d": 0, "base": 3, "alphabet": [0, 1, 2, 3], "symbols": ["0", "1", "2", "3"]}
+
+
+@pytest.fixture()
+def nonneg_streams(tmp_path):
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps(NONNEG_SYSTEM))
+    a = tmp_path / "a.ds"
+    b = tmp_path / "b.ds"
+    a.write_text("0 . 2 3 1 2\n")
+    b.write_text("0 . 1 0 3 3\n")
+    return str(sys_file), str(a), str(b)
+
+
+def test_custom_nonneg_system_mul_matches_preset(capsys, nonneg_streams):
+    # base 3 with digits 0..3 multiplies through the certificate's growth
+    # phase whether it arrives as a preset or as --system
+    sys_file, a, b = nonneg_streams
+    assert main(["mul", "--preset", "integer:3:0:3", "--digits", "20", a, b]) == 0
+    preset_out = capsys.readouterr().out
+    assert main(["mul", "--system", sys_file, "--digits", "20", a, b]) == 0
+    assert capsys.readouterr().out == preset_out
+    assert preset_out.split()[-8:] != ["0"] * 8
+
+
+@pytest.mark.parametrize("source", ["preset", "system"])
+def test_nonneg_div_refused(capsys, nonneg_streams, source):
+    sys_file, a, b = nonneg_streams
+    where = ["--preset", "integer:3:0:3"] if source == "preset" else ["--system", sys_file]
+    rc = main(["div", *where, "--digits", "12", a, b])
+    assert rc == 2
+    assert "no growth phase" in capsys.readouterr().err
 
 
 def test_unknown_preset(capsys):

@@ -8,10 +8,10 @@ from olnum.errors import CriterionInapplicableError, DomainError, ParseError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import (
     DigitString,
+    NumerationSystem,
     encode_value,
     eval_digits,
     format_digits,
-    make_system,
     parse_digits,
     zero_has_nontrivial_rep,
 )
@@ -43,16 +43,16 @@ class TestMakeSystem:
 
     def test_zero_required(self):
         with pytest.raises(DomainError):
-            make_system(ComplexQuad.from_int(3), [ComplexQuad.from_int(1), ComplexQuad.from_int(2)], ["1", "2"])
+            NumerationSystem(ComplexQuad.from_int(3), [ComplexQuad.from_int(1), ComplexQuad.from_int(2)], ["1", "2"])
 
     def test_base_modulus(self):
         i = ComplexQuad(RealQuad(0), RealQuad(1))
         with pytest.raises(DomainError):
-            make_system(i, [ComplexQuad.from_int(0)], ["0"])
+            NumerationSystem(i, [ComplexQuad.from_int(0)], ["0"])
 
     def test_duplicate_symbols(self):
         with pytest.raises(DomainError):
-            make_system(
+            NumerationSystem(
                 ComplexQuad.from_int(3),
                 [ComplexQuad.from_int(0), ComplexQuad.from_int(1), ComplexQuad.from_int(-1)],
                 ["0", "1", "1"],
@@ -60,7 +60,7 @@ class TestMakeSystem:
 
     def test_bad_symbols(self):
         with pytest.raises(ParseError):
-            make_system(
+            NumerationSystem(
                 ComplexQuad.from_int(3),
                 [ComplexQuad.from_int(0), ComplexQuad.from_int(1)],
                 ["0", "a b"],

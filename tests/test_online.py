@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -294,3 +295,24 @@ class TestNonNegativeAlphabet:
             yv = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ys)) * sys_.beta_pow(-d)
             err = (eval_digits(sys_, out) - xv * yv).norm_sq()
             assert (err - RealQuad.from_fraction(c * c)).sign() <= 0
+
+    def test_division_refused_before_reading_operands(self):
+        preset = load_preset("integer:3:0:3")
+        assert preset.div_cert.right_of_zero
+
+        def unread():
+            raise AssertionError("operand pulled")
+            yield  # pragma: no cover
+
+        with pytest.raises(DomainError, match="no growth phase"):
+            div_run(preset.sys, preset.div_cert, preset.div_params, unread(), unread(), 5,
+                    select_fn=preset.div_select)
+
+    def test_growth_phase_belongs_to_the_certificate(self):
+        # every preset shares the one exact selector; the growth phase is
+        # decided by the certificate, not by a preset-specific selector
+        nonneg, signed = load_preset("integer:3:0:3"), load_preset("golden-square")
+        assert nonneg.mult_exact is signed.mult_exact
+        assert nonneg.cert.right_of_zero and not signed.cert.right_of_zero
+        with pytest.raises(ValueError):
+            replace(nonneg, mult_exact=lambda sys_, cert, v: sys_.zero_index)

@@ -4,7 +4,7 @@ import pytest
 
 from olnum.errors import CertificateError, DomainError
 from olnum.field import ComplexQuad, RealQuad
-from olnum.numeration import make_system
+from olnum.numeration import NumerationSystem
 from olnum.presets import load_preset
 from olnum.region import (
     ConvexPolygon,
@@ -163,7 +163,7 @@ class TestParallelogram:
         half = RealQuad(-3, 0, 2)
         beta = ComplexQuad(half, RealQuad(0, 1, 2, 3))
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2, 3, -3)]
-        sys_ = make_system(beta, digits, [str(v) for v in (0, 1, -1, 2, -2, 3, -3)])
+        sys_ = NumerationSystem(beta, digits, [str(v) for v in (0, 1, -1, 2, -2, 3, -3)])
         # beta conj(beta) = 3, |beta + conj(beta)| = 3: need #A > 6
         cert = complex_parallelogram_certificate(sys_)
         assert verify_certificate(sys_, cert).passed
@@ -171,14 +171,14 @@ class TestParallelogram:
     def test_insufficient_alphabet(self):
         beta = ComplexQuad(RealQuad(0), RealQuad(2))
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1)]
-        sys_ = make_system(beta, digits, ["0", "1", "-1"])
+        sys_ = NumerationSystem(beta, digits, ["0", "1", "-1"])
         with pytest.raises(DomainError):
             complex_parallelogram_certificate(sys_)
 
     def test_conjugated_base(self):
         beta = ComplexQuad(RealQuad(0), RealQuad(-2))  # -2i
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2)]
-        sys_ = make_system(beta, digits, ["0", "1", "-1", "2", "-2"])
+        sys_ = NumerationSystem(beta, digits, ["0", "1", "-1", "2", "-2"])
         cert = complex_parallelogram_certificate(sys_)
         assert verify_certificate(sys_, cert).passed
 
@@ -235,7 +235,7 @@ class TestSymmetries:
         cert = complex_parallelogram_certificate(sys_)
         beta_conj = ComplexQuad(RealQuad(0), RealQuad(-2))
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2)]
-        sys_conj = make_system(beta_conj, digits, ["0", "1", "-1", "2", "-2"])
+        sys_conj = NumerationSystem(beta_conj, digits, ["0", "1", "-1", "2", "-2"])
         cert_conj = OLCertificate(cert.region.conjugate(), cert.epsilon)
         assert verify_certificate(sys_conj, cert_conj).passed
 
@@ -244,5 +244,5 @@ class TestSymmetries:
         p = load_preset("knuth")
         beta_neg = ComplexQuad(RealQuad(0), RealQuad(-2))
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2)]
-        sys_neg = make_system(beta_neg, digits, ["0", "1", "-1", "2", "-2"])
+        sys_neg = NumerationSystem(beta_neg, digits, ["0", "1", "-1", "2", "-2"])
         assert verify_certificate(sys_neg, p.cert).passed

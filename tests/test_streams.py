@@ -51,3 +51,29 @@ def _streams() -> str:
 
 def test_digit_streams_unchanged():
     assert hashlib.sha256(_streams().encode()).hexdigest() == STREAMS_SHA256
+
+
+NONNEG_N = 30
+NONNEG_PRESETS = ("integer:2:0:2", "integer:3:0:3")
+NONNEG_SHA256 = "b3ddd54ea86329d48d88e76e43bb3e88ad34be94d1535bd637e358d3498404c2"
+
+
+def _nonneg_mul_streams() -> str:
+    """Seeded products on non-negative alphabets, whose first digits come
+    from the growth phase (W still below beta*I), with the monitor on and off."""
+    lines = []
+    for name in NONNEG_PRESETS:
+        p = load_preset(name)
+        sys_ = p.sys
+        m = NONNEG_N - p.mult_params.delta
+        for check in (True, False):
+            rng = random.Random(7)
+            for _ in range(6):
+                prod = mul_run(sys_, p.cert, p.mult_params, _digits(rng, sys_, m), _digits(rng, sys_, m),
+                               NONNEG_N, select_fn=p.mult_select, exact_fn=p.mult_exact, check=check)
+                lines.append(f"{name}|{check}|{' '.join(sys_.symbol(i) for i in prod.frac_digits)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_nonneg_mul_streams_unchanged():
+    assert hashlib.sha256(_nonneg_mul_streams().encode()).hexdigest() == NONNEG_SHA256
