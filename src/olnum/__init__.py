@@ -9,7 +9,7 @@ from .errors import (
     OlnumError,
     ParseError,
 )
-from .field import ComplexQuad, RationalInterval, RealQuad, eval_radical
+from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import (
     DigitString,
     NumerationSystem,

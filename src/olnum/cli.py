@@ -31,7 +31,6 @@ from .preprocess import preprocess_divisor
 from .presets import PRESET_NAMES, Preset, derived_preset, load_preset, unruled_spec
 from .region import (
     OLCertificate,
-    VARIANT_MU_NU,
     complex_parallelogram_certificate,
     fattened_domain,
     real_interval_certificate,
@@ -219,7 +218,7 @@ def cmd_params(args) -> int:
 
     for mode in modes:
         eff = preset.mult_params if mode == "mult" else preset.div_params
-        if preset.cert.variant == VARIANT_MU_NU:
+        if preset.cert.selects_nearest:
             alpha, d_min = (fmt_alpha(eff), fmt_dmin(eff)) if mode == "div" else ("-", "-")
             for pt in eisenstein_params(mode):
                 rows.append((preset.name, mode, str(pt.delta), str(pt.window_l), alpha, d_min,

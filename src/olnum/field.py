@@ -497,9 +497,6 @@ class RationalInterval:
     def contains(self, fr: Fraction) -> bool:
         return self.lo <= fr <= self.hi
 
-    def contains_interval(self, other: RationalInterval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other) -> RationalInterval:
         o = _as_interval(other)
         return RationalInterval(self.lo + o.lo, self.hi + o.hi)
@@ -587,136 +584,3 @@ def sqrt_interval(x: Fraction | int, max_width: Fraction) -> RationalInterval:
     lo_i = isqrt(t.numerator // t.denominator)
     hi_i = isqrt(-(-t.numerator // t.denominator)) + 1
     return RationalInterval(Fraction(lo_i, n), Fraction(hi_i, n))
-
-
-# -- radical expression evaluation --------------------------------------------
-
-
-def _tokenize(expr: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(expr):
-        c = expr[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            tokens.append(expr[i:j])
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(expr) and expr[j].isalpha():
-                j += 1
-            tokens.append(expr[i:j])
-            i = j
-        elif c in "+-*/()":
-            tokens.append(c)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r} in radical expression")
-    return tokens
-
-
-class _RadicalParser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
-    term := factor (('*'|'/') factor)*; factor := ['-'] atom;
-    atom := INT | 'sqrt' '(' expr ')' | '(' expr ')'."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of radical expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing tokens in radical expression: {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self):
-        tok = self.next()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok == "sqrt":
-            self.expect("(")
-            node = self.expr()
-            self.expect(")")
-            return ("sqrt", node)
-        if tok.isdigit():
-            return ("num", int(tok))
-        raise ParseError(f"unexpected token {tok!r} in radical expression")
-
-
-def _eval_node(node, sqrt_width: Fraction) -> RationalInterval:
-    kind = node[0]
-    if kind == "num":
-        return RationalInterval.point(node[1])
-    if kind == "neg":
-        return -_eval_node(node[1], sqrt_width)
-    if kind == "sqrt":
-        return _eval_node(node[1], sqrt_width).sqrt(sqrt_width)
-    lhs = _eval_node(node[1], sqrt_width)
-    rhs = _eval_node(node[2], sqrt_width)
-    if kind == "+":
-        return lhs + rhs
-    if kind == "-":
-        return lhs - rhs
-    if kind == "*":
-        return lhs * rhs
-    if kind == "/":
-        return lhs / rhs
-    raise AssertionError(node)
-
-
-def eval_radical(expr: str, precision: Fraction | int | str = Fraction(1, 10**6)) -> RationalInterval:
-    """Validated enclosure of an arithmetic expression over rationals and
-    sqrt(n) terms, of width <= precision."""
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise DomainError("precision must be positive")
-    tree = _RadicalParser(_tokenize(expr)).parse()
-    width = precision
-    for _ in range(80):
-        result = _eval_node(tree, width)
-        if result.width() <= precision:
-            return result
-        width /= 16
-    raise DomainError("interval evaluation failed to converge")

@@ -154,11 +154,8 @@ class NumerationSystem:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = 0
-        for v in list(self.alphabet) + [self.base]:
-            d = d or v.re.d or v.im.d
         return {
-            "d": d,
+            "d": self.ambient_d,
             "base": self.base.to_dict(),
             "alphabet": [v.to_dict() for v in self.alphabet],
             "symbols": list(self.symbols),
@@ -205,9 +202,6 @@ class DigitString:
         if not ints:
             ints = [sys.zero_index]
         return cls(tuple(ints), tuple(frac_digits))
-
-    def n_frac(self) -> int:
-        return len(self.frac_digits)
 
 
 def parse_digits(sys: NumerationSystem, text: str) -> DigitString:

@@ -19,8 +19,8 @@ from .field import ComplexQuad, RationalInterval
 from .numeration import DigitString, NumerationSystem
 from .online_mul import InvariantViolation, OnlineState, check_containment, operand_stream, run_online
 from .params import ParamSet
-from .region import OLCertificate, VARIANT_MU_NU
-from .select import Window, select_d, select_d_exact, truncate, window_value
+from .region import OLCertificate, select_d_exact
+from .select import Window, select_d, truncate, window_value
 
 DivSelectFn = Callable[[NumerationSystem, OLCertificate, Window, Window], int]
 
@@ -70,8 +70,7 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window
     exact = select_d_exact(cert, sys, v, delta)
     if exact != q:
         raise InvariantViolation(f"step {k}: windowed selection {q} differs from exact selection {exact}")
-    slack = cert.mu if cert.variant == VARIANT_MU_NU else cert.epsilon / 2
-    check_containment(state, k, w_new / state.y_partial, q, cert.div_fatten(sys), slack, "W/D")
+    check_containment(state, k, w_new / state.y_partial, q, cert.div_fatten(sys), cert.div_slack, "W/D")
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,11 @@ from .errors import DomainError, OlnumError
 from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import DigitString, NumerationSystem
 from .params import ParamSet
-from .region import OLCertificate, VARIANT_MU_NU, digit_select, in_growth_phase, region_dist_sq
+from .region import OLCertificate, digit_select, in_growth_phase, region_dist_sq
 from .select import Window, select_m, window_encode, window_value
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
 ExactFn = Callable[[NumerationSystem, OLCertificate, ComplexQuad], int]
-
-_RQ0 = RealQuad(0)
 
 
 def generic_mult_select(sys: NumerationSystem, cert: OLCertificate, w: Window) -> int:
@@ -151,8 +149,7 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: 
     # containment invariants do not yet apply
     if p == sys.zero_index and in_growth_phase(cert, sys, w_new):
         return
-    slack = cert.mu if cert.variant == VARIANT_MU_NU else _RQ0
-    check_containment(state, k, w_new, p, cert.mult_fatten(), slack, "W")
+    check_containment(state, k, w_new, p, cert.mult_fatten(), cert.mult_slack, "W")
 
 
 def mul_run(

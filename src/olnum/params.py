@@ -14,7 +14,7 @@ from math import ceil, floor
 from .errors import DomainError
 from .field import RationalInterval, RealQuad, sqrt_interval
 from .numeration import NumerationSystem
-from .region import OLCertificate, VARIANT_MU_NU
+from .region import OLCertificate
 
 _MAX_EXP = 4096
 
@@ -53,7 +53,7 @@ def _certainly_less(lhs_fn, rhs_fn) -> bool:
 
 
 def mult_params(sys: NumerationSystem, cert: OLCertificate) -> ParamSet:
-    if cert.variant == VARIANT_MU_NU:
+    if cert.selects_nearest:
         raise DomainError("mu/nu certificates use the dedicated frontier derivation")
     eps_half = cert.epsilon / 2
     beta_abs = sys.abs_beta_exact()
@@ -98,7 +98,7 @@ def round_up(fr: Fraction, grid: int = _GRID) -> Fraction:
 
 
 def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterval) -> ParamSet:
-    if cert.variant == VARIANT_MU_NU:
+    if cert.selects_nearest:
         raise DomainError("mu/nu certificates use the dedicated frontier derivation")
     if d_min.lo <= 0:
         raise DomainError("the divisor lower bound must be certainly positive")

@@ -23,7 +23,6 @@ from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_sear
 from .region import (
     ConvexPolygon,
     OLCertificate,
-    VARIANT_MU_NU,
     complex_parallelogram_certificate,
     real_interval_certificate,
     verify_certificate,
@@ -244,7 +243,7 @@ def _eisenstein() -> Preset:
 
     def mu_nu_cert(point: FrontierPoint) -> OLCertificate:
         mu, nu = RealQuad.from_fraction(point.mu), RealQuad.from_fraction(point.nu)
-        return OLCertificate(hexagon, r, variant=VARIANT_MU_NU, mu=mu, nu=nu)
+        return OLCertificate(hexagon, r, mu=mu, nu=nu)
 
     rules = eisenstein_rules(sys)
     d_min = dmin_lower_bound(sys, rules, 3)

@@ -355,33 +355,44 @@ class VerifyResult:
 
 
 class OLCertificate:
+    """Region I and slack epsilon; a certificate is of the mu/nu variant
+    exactly when mu and nu are given.  Everything that differs between the
+    variants is decided here: the selection test, the fattenings and the
+    monitors' remainder slacks."""
+
     def __init__(
         self,
         region: ConvexPolygon,
         epsilon: RealQuad,
-        variant: str = VARIANT_SINGLE,
         mu: RealQuad | None = None,
         nu: RealQuad | None = None,
         witness: ParallelogramWitness | None = None,
     ):
         if epsilon.sign() <= 0:
             raise CertificateError("epsilon must be positive")
-        if variant not in (VARIANT_SINGLE, VARIANT_MU_NU):
-            raise CertificateError(f"unknown certificate variant {variant!r}")
-        if variant == VARIANT_MU_NU and (mu is None or nu is None):
+        mu_nu = mu is not None
+        if mu_nu != (nu is not None):
             raise CertificateError("mu/nu variant requires both mu and nu")
         self.region = region
         self.epsilon = epsilon
-        self.variant = variant
         self.mu = mu
         self.nu = nu
         self.witness = witness
+        # mu/nu keeps the region un-eroded: the nearest digit, no ball test
+        self.selects_nearest = mu_nu
+        # the monitors' bound on the selection remainder's distance from I
+        self.mult_slack = mu if mu_nu else _RQ0
+        self.div_slack = mu if mu_nu else epsilon / 2
         self.contains_zero = region_contains(region, ComplexQuad.zero())
         # an interval strictly right of zero: a non-negative alphabet, whose
         # multiplication starts with a growth phase (in_growth_phase)
         self.right_of_zero = region.is_interval and region.interval_bounds()[0].sign() > 0
         self.k_bound = _k_bound(region, Fraction(1, 10**12))
         self._scaled: dict[ComplexQuad, ConvexPolygon] = {}
+
+    @property
+    def variant(self) -> str:
+        return VARIANT_MU_NU if self.selects_nearest else VARIANT_SINGLE
 
     # largest |x| over the region, attained at a vertex
     def beta_region(self, sys: NumerationSystem) -> ConvexPolygon:
@@ -392,26 +403,19 @@ class OLCertificate:
         return cached
 
     def trunc_radius(self) -> RealQuad:
-        if self.variant == VARIANT_MU_NU:
-            assert self.mu is not None
-            return self.mu / 2
-        return self.epsilon / 2
+        return self.mu / 2 if self.selects_nearest else self.epsilon / 2
 
     def select_fatten(self) -> RealQuad:
-        if self.variant == VARIANT_MU_NU:
-            assert self.mu is not None
-            return self.epsilon + self.mu / 2
-        return self.epsilon
+        return self.epsilon + self.mu / 2 if self.selects_nearest else self.epsilon
 
     def mult_fatten(self) -> RealQuad:
-        return self.epsilon if self.variant == VARIANT_MU_NU else self.epsilon / 2
+        return self.epsilon if self.selects_nearest else self.epsilon / 2
 
     def div_fatten(self, sys: NumerationSystem) -> RealQuad:
-        if self.variant == VARIANT_MU_NU:
+        if self.selects_nearest:
             beta_abs = sys.abs_beta_exact()
             if beta_abs is None:
                 raise CertificateError("|beta| is not a field element; mu/nu bookkeeping unavailable")
-            assert self.mu is not None and self.nu is not None
             return beta_abs * self.mu + self.nu
         return self.epsilon / 2
 
@@ -423,18 +427,24 @@ class OLCertificate:
         }
         if self.mu is not None:
             out["mu"] = self.mu.to_dict()
-        if self.nu is not None:
             out["nu"] = self.nu.to_dict()
         return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> OLCertificate:
+        """The "variant" key is optional; when given it must name the variant
+        that the mu/nu keys imply."""
         region = ConvexPolygon([ComplexQuad.from_dict(v) for v in obj["vertices"]])
         epsilon = RealQuad.from_dict(obj["epsilon"])
-        variant = obj.get("variant", VARIANT_SINGLE)
         mu = RealQuad.from_dict(obj["mu"]) if "mu" in obj else None
         nu = RealQuad.from_dict(obj["nu"]) if "nu" in obj else None
-        return cls(region, epsilon, variant=variant, mu=mu, nu=nu)
+        cert = cls(region, epsilon, mu=mu, nu=nu)
+        variant = obj.get("variant", cert.variant)
+        if variant not in (VARIANT_SINGLE, VARIANT_MU_NU):
+            raise CertificateError(f"unknown certificate variant {variant!r}")
+        if variant != cert.variant:
+            raise CertificateError(f"certificate variant {variant!r} disagrees with its mu/nu keys")
+        return cert
 
 
 def _k_bound(region: ConvexPolygon, precision: Fraction) -> RationalInterval:
@@ -529,7 +539,7 @@ def complex_parallelogram_certificate(sys: NumerationSystem) -> OLCertificate:
 
 
 def verify_certificate(sys: NumerationSystem, cert: OLCertificate) -> VerifyResult:
-    if cert.variant == VARIANT_MU_NU:
+    if cert.selects_nearest:
         return _verify_mu_nu(sys, cert)
     if cert.region.is_interval:
         return _verify_interval(sys, cert)
@@ -584,8 +594,6 @@ def _verify_polygon(sys: NumerationSystem, cert: OLCertificate) -> VerifyResult:
 
 
 def _verify_mu_nu(sys: NumerationSystem, cert: OLCertificate) -> VerifyResult:
-    if cert.mu is None or cert.nu is None:
-        raise CertificateError("mu/nu variant requires both mu and nu")
     if cert.mu.sign() <= 0 or cert.nu.sign() <= 0:
         return VerifyResult(False, reason="mu and nu must be positive")
     f = cert.div_fatten(sys)  # |beta|*mu + nu
@@ -644,26 +652,32 @@ def ball_fits(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, digit_
     return True
 
 
-def nearest_qualifying(
-    sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad | None, fits: Callable[[int], bool] | None
-) -> int | None:
-    """Index of the digit a minimizing |v - a*delta| (delta None stands for 1)
-    among the digit indices i passing fits(i), or among all digits when fits
-    is None; ties go to the earlier digit in alphabet order.  None when no
-    digit passes."""
+def nearest_qualifying(sys: NumerationSystem, v: ComplexQuad, fits: Callable[[int], bool] | None) -> int | None:
+    """Index of the digit a minimizing |v - a| among the digit indices i
+    passing fits(i), or among all digits when fits is None; ties go to the
+    earlier digit in alphabet order.  None when no digit passes."""
     best: int | None = None
     best_d: RealQuad | None = None
     for i, a in enumerate(sys.alphabet):
         if fits is not None and not fits(i):
             continue
-        d = (v - (a if delta is None else a * delta)).norm_sq()
+        d = (v - a).norm_sq()
         if best_d is None or (d - best_d).sign() < 0:
             best, best_d = i, d
     return best
 
 
 def nearest_digit(sys: NumerationSystem, v: ComplexQuad) -> int:
-    return nearest_qualifying(sys, v, None, None)
+    return nearest_qualifying(sys, v, None)
+
+
+def nearest_admissible(cert: OLCertificate, sys: NumerationSystem, z: ComplexQuad) -> int | None:
+    """The OL Property test shared by both algorithms: the nearest digit a,
+    in alphabet order, whose I + a holds the epsilon-ball around z (W in
+    multiplication, W/D in division); on a mu/nu certificate the nearest digit.
+    None when no digit qualifies."""
+    fits = None if cert.selects_nearest else (lambda i: ball_fits(cert, sys, z, i))
+    return nearest_qualifying(sys, z, fits)
 
 
 def in_growth_phase(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> bool:
@@ -677,26 +691,33 @@ def in_growth_phase(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) 
 
 
 def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
-    """Digit selector realized by the certificate: returns a with
-    B(v, eps) inside region + a; nearest-qualifying with alphabet-order ties.
-    The mu/nu variant selects the nearest digit.  In the growth phase the
-    digit is 0."""
+    """Digit selector realized by the certificate: nearest_admissible on v
+    inside the selection domain.  In the growth phase the digit is 0."""
     if in_growth_phase(cert, sys, v):
         return sys.zero_index
     fatten = cert.select_fatten()
     dist = region_dist_sq(cert.beta_region(sys), v)
     if (dist - fatten * fatten).sign() > 0:
         raise DomainError("value outside the digit selection domain")
-    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: ball_fits(cert, sys, v, i))
-    best = nearest_qualifying(sys, v, None, fits)
+    best = nearest_admissible(cert, sys, v)
     if best is None:
         raise CertificateError("no digit qualifies: certificate does not cover the selection domain")
     return best
 
 
 def digit_select_total(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
-    """Total extension used for table synthesis: nearest-qualifying when any
-    digit's ball test passes, plain nearest otherwise."""
-    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: ball_fits(cert, sys, v, i))
-    best = nearest_qualifying(sys, v, None, fits)
+    """Total extension used for table synthesis: nearest_admissible when any
+    digit qualifies, plain nearest otherwise."""
+    best = nearest_admissible(cert, sys, v)
     return nearest_digit(sys, v) if best is None else best
+
+
+def select_d_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
+    """Exact quotient-digit selection: nearest_admissible on u = v/delta.
+    Division has no growth phase, and select_d checks its own domain."""
+    if delta.is_zero():
+        raise DomainError("divisor value is zero")
+    best = nearest_admissible(cert, sys, v / delta)
+    if best is None:
+        raise CertificateError("no digit qualifies for the quotient v/delta")
+    return best

@@ -2,10 +2,13 @@
 
 A window keeps the full integer part of an auxiliary value plus its first L
 fractional digits, together with a certified bound on the discarded tail.
-Selection evaluates the window exactly and applies the certificate's digit
-selector; specialized rules for the golden-square and Knuth systems are
-provided alongside, plus the integer-window bound and lookup-table
-synthesis over the finitely many windows that fit a bounded domain.
+Selection checks the tail bound, evaluates the window exactly and applies
+the certificate's digit selector: ``region.digit_select`` on W for
+multiplication, ``region.select_d_exact`` on W/D for division; both run
+the one admissibility test ``region.nearest_admissible``.  The golden-square
+rules (lexicographic and sign tests on the digits) are provided alongside,
+plus the integer-window bound and lookup-table synthesis over the finitely
+many windows that fit a bounded domain.
 """
 
 from __future__ import annotations
@@ -13,20 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, log
 
-from .errors import CertificateError, DomainError
+from .errors import DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, scale_into_region
 from .preprocess import RewriteRule, dmin_search
 from .region import (
     ConvexPolygon,
     OLCertificate,
-    VARIANT_MU_NU,
     digit_select,
     digit_select_total,
-    nearest_qualifying,
     region_dist_sq,
+    select_d_exact,
 )
 
 _IV_PREC = Fraction(1, 10**9)
@@ -114,35 +115,6 @@ def select_m(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     return digit_select(cert, sys, window_value(sys, w))
 
 
-def _scaled_ball_fits(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad, digit_index: int) -> bool:
-    """Division test without complex division: the disk of radius eps*|delta|
-    around v lies inside delta * (region + digit)."""
-    a = sys.digit(digit_index)
-    eps = cert.epsilon
-    if cert.region.is_interval:
-        if not (v.is_real() and delta.is_real()):
-            return False
-        lo, hi = cert.region.interval_bounds()
-        dr = delta.re
-        s = dr.sign()
-        if s == 0:
-            return False
-        lhs = (v.re - (lo + a.re + eps) * dr) * s
-        rhs = (((hi + a.re) - eps) * dr - v.re) * s
-        return lhs.sign() >= 0 and rhs.sign() >= 0
-    dsq = delta.norm_sq()
-    eps_sq_scaled = eps * eps * dsq * dsq
-    for gx, gy, c, nsq in cert.region.halfplanes():
-        c_a = c + gx * a.re + gy * a.im
-        g = ComplexQuad(gx, gy) * delta
-        margin = g.re * v.re + g.im * v.im - c_a * dsq
-        if margin.sign() < 0:
-            return False
-        if (margin * margin - eps_sq_scaled * nsq).sign() < 0:
-            return False
-    return True
-
-
 def select_d(
     cert: OLCertificate,
     sys: NumerationSystem,
@@ -161,14 +133,6 @@ def select_d(
     if (delta.norm_sq() - RealQuad.from_fraction(d_min.lo * d_min.lo)).sign() < 0:
         raise DomainError("divisor window below the certified minimum modulus")
     return select_d_exact(cert, sys, v, delta)
-
-
-def select_d_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
-    fits = None if cert.variant == VARIANT_MU_NU else (lambda i: _scaled_ball_fits(cert, sys, v, delta, i))
-    best = nearest_qualifying(sys, v, delta, fits)
-    if best is None:
-        raise CertificateError("no digit qualifies for the scaled selection test")
-    return best
 
 
 # -- specialized selection rules ---------------------------------------------------
@@ -236,22 +200,6 @@ def _leading_sign(sys: NumerationSystem, w: Window) -> int:
     return 0
 
 
-def knuth_digit_rule(sys: NumerationSystem, w: Window) -> int:
-    value = window_value(sys, w)
-    re = value.re
-    half = RealQuad(1, 0, 2)
-    three_half = RealQuad(3, 0, 2)
-    if (re - three_half).sign() > 0:
-        return _index_of_int(sys, 2)
-    if (re - half).sign() > 0:
-        return _index_of_int(sys, 1)
-    if (re + half).sign() >= 0:
-        return _index_of_int(sys, 0)
-    if (re + three_half).sign() >= 0:
-        return _index_of_int(sys, -1)
-    return _index_of_int(sys, -2)
-
-
 def _index_of_int(sys: NumerationSystem, n: int) -> int:
     idx = sys.index_of_value(ComplexQuad.from_int(n))
     if idx is None:
@@ -297,9 +245,14 @@ def int_window_ceiling(sys: NumerationSystem, reach: Fraction, rules, depth_cap:
     positive floor found by dmin_search, and each further integer position
     multiplies it by |beta|.  Raises DomainError when there is no floor."""
     _, floor = dmin_search(sys, rules, depth_cap)
-    ratio = (reach + _frac_reach(sys)) / floor.lo
-    ab = sys.abs_beta(_IV_PREC)
-    return max(ceil(log(float(max(ratio, Fraction(2)))) / log(float(ab.lo))) + 1, 1)
+    ratio = max((reach + _frac_reach(sys)) / floor.lo, Fraction(2))
+    ab = sys.abs_beta(_IV_PREC).lo
+    if ab <= 1:
+        raise DomainError("|beta| too close to 1 for an integer-window bound")
+    m, power = 0, Fraction(1)
+    while power < ratio:  # the least m with |beta|^m >= ratio
+        m, power = m + 1, power * ab
+    return m + 1
 
 
 def max_int_window(

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from olnum.field import ComplexQuad, RealQuad, eval_radical
+from olnum.field import ComplexQuad, RealQuad, sqrt_interval
 from olnum.numeration import (
     DigitString,
     NumerationSystem,
@@ -29,13 +29,13 @@ from olnum.region import (
     digit_select_total,
     fattened_domain,
     real_interval_certificate,
+    select_d_exact,
     verify_certificate,
 )
 from olnum.select import (
     Window,
     golden_d_rule,
     golden_m_rule,
-    select_d_exact,
     synthesize_table,
     truncate,
     window_value,
@@ -273,8 +273,10 @@ def test_criterion5_dmin_values():
 def test_criterion5_eisenstein_dmin():
     p = load_preset("eisenstein")
     iv = dmin_lower_bound(p.sys, p.preprocess.rules, 3, precision=Fraction(1, 10**7))
-    oracle = eval_radical("sqrt(3)*(6-sqrt(7))/18", Fraction(1, 10**12))
-    ok = iv.width() <= Fraction(1, 10**6) and iv.lo <= oracle.lo and oracle.hi <= iv.hi
+    # sqrt(3)*(6-sqrt(7))/18 by interval arithmetic, independent of the params module
+    w = Fraction(1, 10**12)
+    oracle = sqrt_interval(3, w) * (6 - sqrt_interval(7, w)) / 18
+    ok = oracle.width() <= w and iv.width() <= Fraction(1, 10**6) and iv.lo <= oracle.lo and oracle.hi <= iv.hi
     # exhaustive depth-3 irreducible-prefix search: min |0.d1 d2 d3|^2 >= 1/3
     sys_ = p.sys
     rules = [r for r in p.preprocess.rules if len(r.lhs) <= 3]

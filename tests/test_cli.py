@@ -306,6 +306,21 @@ def test_check_ol_custom_pass(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "pass"
 
 
+def test_check_ol_rejects_variant_disagreeing_with_mu_nu(capsys, tmp_path):
+    from olnum.presets import load_preset
+
+    knuth = load_preset("knuth")
+    cert = knuth.cert.to_dict()  # passes check-ol as it stands
+    cert.update(variant="single_epsilon", mu={"a": 1, "q": 100}, nu={"a": 1, "q": 100})
+    sys_file = tmp_path / "sys.json"
+    cert_file = tmp_path / "cert.json"
+    sys_file.write_text(json.dumps(knuth.sys.to_dict()))
+    cert_file.write_text(json.dumps(cert))
+    rc = main(["check-ol", "--system", str(sys_file), "--region", str(cert_file)])
+    assert rc == 3
+    assert "disagrees" in capsys.readouterr().err
+
+
 def test_table_golden(capsys):
     rc = main(["table", "--preset", "golden-square"])
     assert rc == 0

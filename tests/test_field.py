@@ -8,7 +8,6 @@ from olnum.field import (
     ComplexQuad,
     RationalInterval,
     RealQuad,
-    eval_radical,
     sqrt_interval,
 )
 
@@ -169,38 +168,29 @@ class TestRationalInterval:
 
 
 class TestEvalRadical:
-    def test_rational_passthrough(self):
-        iv = eval_radical("1/12", Fraction(1, 10**6))
-        assert iv.lo == iv.hi == Fraction(1, 12)
+    """Radical constants of the presets, enclosed by sqrt_interval arithmetic."""
 
     def test_eisenstein_dmin_constant(self):
         # oracle (mpmath, 40 digits): 0.3227627305809679863653683808504014284818
-        iv = eval_radical("sqrt(3)*(6-sqrt(7))/18", Fraction(1, 10**4))
-        assert iv.width() <= Fraction(1, 10**4)
+        w = Fraction(1, 10**4)
+        iv = sqrt_interval(3, w) * (6 - sqrt_interval(7, w)) / 18
+        assert iv.width() <= w
         assert iv.contains(Fraction("0.32276273058096798636"))
 
     def test_knuth_k_constant(self):
         # oracle (mpmath, 40 digits): 1.342560663732730229809204362978650633145
-        iv = eval_radical("sqrt(146)/9", Fraction(1, 10**4))
+        iv = sqrt_interval(146, Fraction(1, 10**4)) / 9
         assert iv.contains(Fraction("1.3425606637327302298"))
 
-    def test_nesting(self):
-        coarse = eval_radical("sqrt(2)+sqrt(3)", Fraction(1, 100))
-        fine = eval_radical("sqrt(2)+sqrt(3)", Fraction(1, 10**8))
-        assert coarse.contains_interval(fine)
-
     def test_contains_value_at_higher_precision(self):
-        for expr in ("sqrt(7)/2", "(6-sqrt(7))/18", "sqrt(2)*sqrt(3)-sqrt(5)"):
-            coarse = eval_radical(expr, Fraction(1, 10**3))
-            fine = eval_radical(expr, Fraction(1, 10**12))
+        def exprs(w):
+            s2, s3, s5, s7 = (sqrt_interval(n, w) for n in (2, 3, 5, 7))
+            return (s7 / 2, (6 - s7) / 18, s2 * s3 - s5)
+
+        for coarse, fine in zip(exprs(Fraction(1, 10**3)), exprs(Fraction(1, 10**12))):
             assert coarse.lo <= fine.midpoint() <= coarse.hi
 
     def test_division_by_zero_interval(self):
+        s2 = sqrt_interval(2, Fraction(1, 100))
         with pytest.raises(DomainError):
-            eval_radical("1/(sqrt(2)-sqrt(2))", Fraction(1, 100))
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            eval_radical("sqrt(", Fraction(1, 100))
-        with pytest.raises(ParseError):
-            eval_radical("2 $ 3", Fraction(1, 100))
+            RationalInterval.point(1) / (s2 - s2)

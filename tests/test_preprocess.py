@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from olnum.errors import DomainError
-from olnum.field import RealQuad, eval_radical
+from olnum.field import RealQuad, sqrt_interval
 from olnum.numeration import DigitString, eval_digits, format_digits, parse_digits
 from olnum.preprocess import (
     RewriteRule,
@@ -175,7 +175,10 @@ class TestDminLowerBound:
 
     def test_eisenstein_constant(self, eisenstein):
         iv = dmin_lower_bound(eisenstein.sys, eisenstein.preprocess.rules, 3, precision=Fraction(1, 10**7))
-        oracle = eval_radical("sqrt(3)*(6-sqrt(7))/18", Fraction(1, 10**12))
+        # sqrt(3)*(6-sqrt(7))/18 by interval arithmetic, independent of the params module
+        w = Fraction(1, 10**12)
+        oracle = sqrt_interval(3, w) * (6 - sqrt_interval(7, w)) / 18
+        assert oracle.width() <= w
         assert iv.width() <= Fraction(1, 10**6)
         assert iv.lo <= oracle.lo and oracle.hi <= iv.hi
 

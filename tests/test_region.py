@@ -138,16 +138,36 @@ class TestVerification:
 
     def test_mu_nu_budget_violation_fails(self):
         p = load_preset("eisenstein")
-        bad = OLCertificate(
-            p.cert.region, p.cert.epsilon, variant="mu_nu",
-            mu=RealQuad(1, 0, 4), nu=RealQuad(1, 0, 4),
-        )
+        bad = OLCertificate(p.cert.region, p.cert.epsilon, mu=RealQuad(1, 0, 4), nu=RealQuad(1, 0, 4))
         assert not verify_certificate(p.sys, bad).passed
 
     def test_mu_nu_requires_parameters(self):
         p = load_preset("eisenstein")
         with pytest.raises(CertificateError):
-            OLCertificate(p.cert.region, p.cert.epsilon, variant="mu_nu")
+            OLCertificate(p.cert.region, p.cert.epsilon, mu=RealQuad(1, 0, 4))
+
+    def test_variant_read_from_mu_nu(self):
+        p = load_preset("eisenstein")
+        assert p.cert.variant == "mu_nu" and p.cert.selects_nearest
+        assert OLCertificate.from_dict(p.cert.to_dict()).to_dict() == p.cert.to_dict()
+        knuth = load_preset("knuth").cert
+        assert knuth.variant == "single_epsilon" and not knuth.selects_nearest
+        obj = knuth.to_dict()
+        del obj["variant"]
+        assert OLCertificate.from_dict(obj).variant == "single_epsilon"
+
+    @pytest.mark.parametrize("variant", ["single_epsilon", "mu_nu_typo"])
+    def test_from_dict_rejects_variant_against_mu_nu(self, variant):
+        obj = load_preset("eisenstein").cert.to_dict()
+        obj["variant"] = variant
+        with pytest.raises(CertificateError):
+            OLCertificate.from_dict(obj)
+
+    def test_from_dict_rejects_mu_nu_variant_without_mu_nu(self):
+        obj = load_preset("knuth").cert.to_dict()
+        obj["variant"] = "mu_nu"
+        with pytest.raises(CertificateError):
+            OLCertificate.from_dict(obj)
 
 
 class TestParallelogram:

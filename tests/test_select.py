@@ -1,12 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from olnum.errors import DomainError
+from olnum.errors import CertificateError, DomainError, OlnumError
 from olnum.field import ComplexQuad, RealQuad
-from olnum.numeration import DigitString, eval_digits, parse_digits
+from olnum.numeration import DigitString, NumerationSystem, eval_digits, parse_digits
 from olnum import preprocess, presets, select
 from olnum.presets import load_preset
 from olnum.region import (
@@ -14,17 +16,19 @@ from olnum.region import (
     digit_select,
     fattened_domain,
     in_growth_phase,
+    nearest_admissible,
     nearest_digit,
     nearest_qualifying,
+    real_interval_certificate,
+    select_d_exact,
 )
 from olnum.select import (
     Window,
     golden_d_rule,
     golden_m_rule,
-    knuth_digit_rule,
+    int_window_ceiling,
     max_int_window,
     select_d,
-    select_d_exact,
     select_m,
     synthesize_table,
     truncate,
@@ -130,7 +134,7 @@ class TestSelectMExtended:
         w = _win(sys_, "1 . 0 0 0 0 0", 5)  # value 1, inside (beta I)^(eps/2)
         v = window_value(sys_, w)
         assert not in_growth_phase(cert, sys_, v)
-        assert select_m(cert, sys_, w) == nearest_qualifying(sys_, v, None, lambda i: ball_fits(cert, sys_, v, i))
+        assert select_m(cert, sys_, w) == nearest_qualifying(sys_, v, lambda i: ball_fits(cert, sys_, v, i))
 
 
 class TestSelectD:
@@ -162,6 +166,104 @@ class TestSelectD:
         d = _win(sys_, "0 . 0 0 0 0 1", 9)
         with pytest.raises(DomainError):
             select_d(cert, sys_, w, d, alpha, golden.div_params.d_min)
+
+
+# digest of select_d_exact over _select_d_lines(): the quotient digits that
+# division selects on these pairs, boundary ties included
+SELECT_D_PRESETS = ("golden-square", "knuth", "eisenstein", "integer:2:-1:1", "base4")
+SELECT_D_SHA256 = "6c1b3a7499a19367653a79ffd3d6afb4acdf777ab62dd13af5ab1696680afdfe"
+
+
+def _select_d_cases(p, rng):
+    """(v, delta) pairs: seeded quotients u, the points of every eroded edge
+    of I + a at distance exactly eps from its boundary, and the midpoints of
+    digit pairs (nearest-digit ties), each times three seeded divisors."""
+    sys_, cert = p.sys, p.div_cert
+    zero, n = sys_.zero_index, len(sys_.alphabet)
+    nonzero = [i for i in range(n) if i != zero]
+    region, eps = cert.region, cert.epsilon
+    quotients = [eval_digits(sys_, DigitString((rng.randrange(n),), tuple(rng.randrange(n) for _ in range(5))))
+                 for _ in range(40)]
+    half = ComplexQuad(RealQuad(1, 0, 2))
+    for i, a in enumerate(sys_.alphabet):
+        if region.is_interval:
+            lo, hi = region.interval_bounds()
+            quotients += [ComplexQuad(lo + eps) + a, ComplexQuad(hi - eps) + a]
+        else:
+            pts = region.vertices
+            for (gx, gy, _, nsq), p0, p1 in zip(region.halfplanes(), pts, pts[1:] + pts[:1]):
+                norm = nsq.sqrt_exact(sys_.ambient_d)
+                if norm is not None:  # edge midpoint moved inward by eps
+                    quotients.append((p0 + p1) * half + a + ComplexQuad(gx * eps / norm, gy * eps / norm))
+        quotients += [(a + b) * half for b in sys_.alphabet[i + 1:]]
+    for u in quotients:
+        for _ in range(3):
+            while True:
+                digits = (rng.choice(nonzero),) + tuple(rng.randrange(n) for _ in range(5))
+                delta = eval_digits(sys_, DigitString((zero,), digits))
+                if not delta.is_zero():
+                    break
+            yield u * delta, delta
+
+
+def _select_d_lines():
+    rng = random.Random(14)
+    for name in SELECT_D_PRESETS:
+        p = load_preset(name)
+        for v, delta in _select_d_cases(p, rng):
+            try:
+                token = p.sys.symbol(select_d_exact(p.div_cert, p.sys, v, delta))
+            except OlnumError as exc:
+                token = "!" + type(exc).__name__
+            yield f"{name} {token}"
+
+
+@st.composite
+def _integer_quotient(draw):
+    """A drawn integer system (#A > |b|, contiguous alphabet holding 0), its
+    default certificate, a quotient u (often on an eroded edge) and a divisor."""
+    b = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]))
+    size = draw(st.integers(abs(b) + 1, abs(b) + 3))
+    m = -draw(st.integers(0, size - 1))
+    digits = range(m, m + size)
+    sys_ = NumerationSystem(ComplexQuad.from_int(b), [ComplexQuad.from_int(d) for d in digits],
+                            [str(d) for d in digits])
+    cert = real_interval_certificate(sys_)
+    lo, hi = (x.to_fraction() for x in cert.region.interval_bounds())
+    eps = cert.epsilon.to_fraction()
+    edges = [e + d for d in digits for e in (lo + eps, hi - eps)]
+    u = draw(st.one_of(st.sampled_from(edges), st.fractions(-2 * size, 2 * size, max_denominator=60)))
+    delta = draw(st.fractions(-3, 3, max_denominator=60).filter(bool))
+    return sys_, cert, u, delta
+
+
+class TestSelectDExact:
+    def test_digest(self):
+        lines = list(_select_d_lines())
+        assert len(lines) == 993
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SELECT_D_SHA256
+
+    def test_zero_divisor(self, golden):
+        with pytest.raises(DomainError):
+            select_d_exact(golden.cert, golden.sys, ComplexQuad.from_int(1), ComplexQuad.zero())
+
+    @settings(max_examples=200)
+    @given(_integer_quotient())
+    def test_is_the_core_on_the_quotient(self, case):
+        sys_, cert, u, delta = case
+        lo, hi = (x.to_fraction() for x in cert.region.interval_bounds())
+        eps = cert.epsilon.to_fraction()
+        values = [a.re.to_fraction() for a in sys_.alphabet]
+        fits = [i for i, a in enumerate(values) if lo + a + eps <= u <= hi + a - eps]
+        expected = min(fits, key=lambda i: (abs(u - values[i]), i)) if fits else None
+        uq = ComplexQuad(RealQuad.from_fraction(u))
+        assert nearest_admissible(cert, sys_, uq) == expected
+        dq = ComplexQuad(RealQuad.from_fraction(delta))
+        if expected is None:
+            with pytest.raises(CertificateError):
+                select_d_exact(cert, sys_, uq * dq, dq)
+        else:
+            assert select_d_exact(cert, sys_, uq * dq, dq) == expected
 
 
 class TestSpecializedGoldenM:
@@ -229,11 +331,20 @@ class TestSpecializedGoldenD:
         assert checked == 2000
 
 
+def _knuth_threshold_digit(re: RealQuad) -> int:
+    """Knuth's threshold rule for the oblong with eps = 1/18: the digit a
+    with |Re v - a| <= 1/2, ties towards zero."""
+    for a in (2, 1):
+        if (re - RealQuad(2 * a - 1, 0, 2)).sign() > 0:
+            return a
+        if (re + RealQuad(2 * a - 1, 0, 2)).sign() < 0:
+            return -a
+    return 0
+
+
 class TestKnuthDigit:
     def test_thresholds(self, knuth):
-        sys_ = knuth.sys
-        w = _win(sys_, "1 . 1 1", 7)  # value: -4... actually int part '1' is position 0
-        # direct values instead: use windows with known real parts
+        sys_, cert = knuth.sys, knuth.cert
         cases = [
             ("2 . ", "2"),       # Re = 2 > 3/2
             ("1 . ", "1"),       # Re = 1 in (1/2, 3/2]
@@ -242,13 +353,13 @@ class TestKnuthDigit:
             ("-2 . ", "-2"),     # Re = -2 < -3/2
         ]
         for text, expected in cases:
-            w = _win(sys_, text, 7)
-            assert sys_.symbol(knuth_digit_rule(sys_, w)) == expected
+            value = window_value(sys_, _win(sys_, text, 7))
+            assert sys_.symbol(digit_select(cert, sys_, value)) == expected
 
     def test_agrees_with_generic(self, knuth):
         sys_, cert = knuth.sys, knuth.cert
         rng = random.Random(11)
-        from olnum.region import digit_select_total, region_dist_sq
+        from olnum.region import region_dist_sq
 
         checked = 0
         for _ in range(4000):
@@ -260,7 +371,8 @@ class TestKnuthDigit:
             fat = cert.select_fatten()
             if (region_dist_sq(cert.beta_region(sys_), value) - fat * fat).sign() > 0:
                 continue
-            assert knuth_digit_rule(sys_, w) == digit_select(cert, sys_, value)
+            expected = sys_.index_of_value(ComplexQuad.from_int(_knuth_threshold_digit(value.re)))
+            assert expected == digit_select(cert, sys_, value)
             checked += 1
         assert checked > 500
 
@@ -352,6 +464,18 @@ class TestTableSynthesis:
         table = synthesize_table(sys_, cert, 3, domain)
         w = _win(sys_, "0 0 . 1 1 0", 3)
         assert sys_.symbol(table.lookup(sys_, w)) == "1"
+
+
+class TestIntWindowCeiling:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_ratio_at_an_exact_power_of_the_base(self, m):
+        # ratio = (reach + frac reach) / floor = 5^m: the least power of |beta|
+        # reaching it is m, so m + 1 integer positions; just above, m + 2
+        sys_ = load_preset("integer:5:-3:3").sys
+        _, floor = preprocess.dmin_search(sys_, (), 8)
+        reach = floor.lo * 5**m - select._frac_reach(sys_)
+        assert int_window_ceiling(sys_, reach, (), 8) == m + 1
+        assert int_window_ceiling(sys_, reach + Fraction(1, 10**30), (), 8) == m + 2
 
 
 class TestWindowEncode:
