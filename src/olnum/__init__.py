@@ -22,7 +22,7 @@ from .numeration import (
 )
 from .online_div import DivResult, div_run
 from .online_mul import InvariantViolation, mul_run
-from .params import ParamSet, div_params, eisenstein_params, integer_base_delay, mult_params
+from .params import ParamSet, div_params, eisenstein_params, mult_params
 from .preprocess import (
     PreprocessSpec,
     RewriteRule,

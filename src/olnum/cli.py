@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys as _sysmod
 from fractions import Fraction
@@ -17,15 +16,12 @@ from fractions import Fraction
 from .errors import CertificateError, DomainError, OlnumError, ParseError
 from .field import ComplexQuad, RealQuad
 from .numeration import (
-    DigitString,
     NumerationSystem,
     encode_value,
     eval_digits,
     format_digits,
     parse_digits,
 )
-from .online_div import div_run
-from .online_mul import mul_run
 from .params import div_params, eisenstein_params, mult_params
 from .preprocess import preprocess_divisor
 from .presets import PRESET_NAMES, Preset, derived_preset, load_preset, unruled_spec
@@ -100,18 +96,15 @@ def _trace_writer(path: str | None, sys_: NumerationSystem):
 
 def cmd_mul(args) -> int:
     preset = _context(args)
-    sys_, cert = preset.sys, preset.cert
+    sys_ = preset.sys
     xs = parse_digits(sys_, _read_text(args.x))
     ys = parse_digits(sys_, _read_text(args.y))
     if any(i != sys_.zero_index for i in xs.int_digits) or any(i != sys_.zero_index for i in ys.int_digits):
         raise DomainError("operands must be fractional (integer part zero)")
     trace, close = _trace_writer(args.trace, sys_)
     try:
-        out = mul_run(
-            sys_, cert, preset.mult_params, list(xs.frac_digits), list(ys.frac_digits),
-            args.digits, select_fn=preset.mult_select, exact_fn=preset.mult_exact,
-            check=not args.no_check, trace_fn=trace,
-        )
+        out = preset.mul(list(xs.frac_digits), list(ys.frac_digits), args.digits,
+                         check=not args.no_check, trace_fn=trace)
     finally:
         if close:
             close()
@@ -121,9 +114,7 @@ def cmd_mul(args) -> int:
 
 def cmd_div(args) -> int:
     preset = _context(args)
-    sys_, cert = preset.sys, preset.div_cert
-    if preset.div_params is None:
-        raise DomainError("division unavailable: no positive divisor bound for this system")
+    sys_ = preset.sys
     ns = parse_digits(sys_, _read_text(args.n))
     ds = parse_digits(sys_, _read_text(args.d))
     shift = 0
@@ -138,10 +129,8 @@ def cmd_div(args) -> int:
         raise DomainError("divisor evaluates to zero")
     trace, close = _trace_writer(args.trace, sys_)
     try:
-        result = div_run(
-            sys_, cert, preset.div_params, list(ns.frac_digits), list(ds.frac_digits),
-            args.digits, select_fn=preset.div_select, check=not args.no_check, trace_fn=trace,
-        )
+        result = preset.div(list(ns.frac_digits), list(ds.frac_digits), args.digits,
+                            check=not args.no_check, trace_fn=trace)
     finally:
         if close:
             close()
@@ -182,7 +171,7 @@ def cmd_eval(args) -> int:
     sys_ = preset.sys
     ds = parse_digits(sys_, _read_text(args.stream))
     value = eval_digits(sys_, ds)
-    prec = _default_precision()
+    prec = Fraction(1, 10**12)
     re_iv = value.re.to_interval(prec)
     im_iv = value.im.to_interval(prec)
     print(json.dumps(value.to_dict()))
@@ -268,19 +257,6 @@ def cmd_table(args) -> int:
     table = synthesize_table(sys_, cert, params.window_l, domain, rules=rules or None)
     _sysmod.stdout.write(table.serialize(sys_))
     return 0
-
-
-def _default_precision() -> Fraction:
-    raw = os.environ.get("OLNUM_PRECISION", "")
-    if not raw:
-        return Fraction(1, 10**12)
-    try:
-        value = Fraction(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad OLNUM_PRECISION {raw!r}") from exc
-    if value <= 0:
-        raise ParseError("OLNUM_PRECISION must be positive")
-    return value
 
 
 def _add_common(p: argparse.ArgumentParser, with_cert: bool = False) -> None:

@@ -40,7 +40,7 @@ def _read_divisor(state: OnlineState, d_idx: int) -> None:
         raise DomainError("divisor must be preprocessed: first digit nonzero")
     state.d_digits.append(d_idx)
     state.y_partial = state.y_partial + sys.digit(d_idx) * sys.beta_pow(-pos)
-    if state.check and state.y_partial.norm_sq() < state.params.d_min.hi ** 2:
+    if state.check and state.y_partial.norm_sq() < state.params.d_min.lo ** 2:
         raise InvariantViolation(f"divisor prefix D_{pos} falls below the certified minimum modulus")
 
 
@@ -86,7 +86,7 @@ def div_run(
     ns: Iterable[int],
     ds: Iterable[int],
     n: int,
-    select_fn: DivSelectFn | None = None,
+    select_fn: DivSelectFn,
     check: bool = True,
     max_int_window: int | None = None,
     trace_fn: Callable[[dict], None] | None = None,
@@ -103,8 +103,6 @@ def div_run(
     if cert.right_of_zero:
         raise DomainError("division unavailable: the region lies right of zero (non-negative alphabet), "
                           "and division has no growth phase")
-    if select_fn is None:
-        select_fn = make_generic_div_select(params.alpha, params.d_min)
     extra_shift = _quotient_guard(sys, cert, params)
     state = OnlineState(sys, cert, params, select_fn=select_fn, check=check, max_int_window=max_int_window)
     ns = operand_stream(sys, ns, extra_shift)

@@ -51,7 +51,7 @@ class OnlineState:
     sys: NumerationSystem
     cert: OLCertificate
     params: ParamSet
-    select_fn: Callable[..., int] = generic_mult_select
+    select_fn: Callable[..., int]
     exact_fn: ExactFn = generic_mult_exact
     check: bool = True
     max_int_window: int | None = None
@@ -159,7 +159,7 @@ def mul_run(
     xs: Iterable[int],
     ys: Iterable[int],
     n: int,
-    select_fn: SelectFn = generic_mult_select,
+    select_fn: SelectFn,
     exact_fn: ExactFn = generic_mult_exact,
     check: bool = True,
     max_int_window: int | None = None,

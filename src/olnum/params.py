@@ -138,18 +138,6 @@ def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterv
     return ParamSet(delta=delta, window_l=window_l, mode="div", alpha=alpha, d_min=d_min)
 
 
-def integer_base_delay(beta: int, a: int) -> int:
-    """Smallest delay for an integer base >= 2 with symmetric digits -a..a."""
-    if beta < 2:
-        raise DomainError("integer base must be at least 2")
-    if not (Fraction(beta, 2) <= a <= beta - 1):
-        raise DomainError("digit bound must satisfy beta/2 <= a <= beta - 1")
-    rhs = Fraction(2 * a + 1, 2)
-    def holds(delta: int) -> bool:
-        return Fraction(beta, 2) + Fraction(2 * a * a, beta**delta * (beta - 1)) <= rhs
-    return _first_k(holds, 1)
-
-
 # -- Eisenstein mu/nu frontier -------------------------------------------------------
 
 

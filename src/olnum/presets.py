@@ -12,18 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable
 
 from .errors import CertificateError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import NumerationSystem
-from .online_div import DivSelectFn, make_generic_div_select
-from .online_mul import ExactFn, SelectFn, generic_mult_exact, generic_mult_select
+from .numeration import DigitString, NumerationSystem
+from .online_div import DivResult, DivSelectFn, div_run, make_generic_div_select
+from .online_mul import ExactFn, SelectFn, generic_mult_exact, generic_mult_select, mul_run
 from .params import FrontierPoint, ParamSet, _eis_feasible, div_params, mult_params
 from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_search, expand_rules, verify_rules
 from .region import (
     ConvexPolygon,
     OLCertificate,
-    complex_parallelogram_certificate,
     real_interval_certificate,
     verify_certificate,
 )
@@ -34,8 +34,10 @@ _IV = Fraction(1, 10**9)
 
 @dataclass
 class Preset:
-    """What a run reads.  The generic parameters and the Eisenstein frontier
-    are derived where they are printed (``olnum params``); the integer-window
+    """What a run reads, and the runs themselves: ``mul`` and ``div`` pass
+    each mode's certificate, parameters, selectors and integer-window bound
+    to the engine.  The generic parameters and the Eisenstein frontier are
+    derived where they are printed (``olnum params``); the integer-window
     bounds are computed on first use.  Selection policy, such as the growth
     phase of non-negative alphabets, belongs to the certificate, so every
     preset shares one exact selector, ``mult_exact``."""
@@ -50,28 +52,49 @@ class Preset:
     mult_select: SelectFn
     div_select: DivSelectFn | None
     mult_exact: ExactFn = field(default_factory=lambda: generic_mult_exact, init=False, repr=False, compare=False)
-    _max_int_mult: int | None = field(default=None, init=False, repr=False, compare=False)
-    _max_int_div: int | None = field(default=None, init=False, repr=False, compare=False)
+    _int_bounds: dict[str, int | None] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def max_int_mult(self) -> int:
-        if self._max_int_mult is None:
-            self._max_int_mult = _int_window_ceiling(self, self.cert.mult_fatten())
-        return self._max_int_mult
+    def max_int_mult(self) -> int | None:
+        """Integer positions a product window may occupy; None when the
+        system has no floor to bound them (the run is then unbounded)."""
+        if "mult" not in self._int_bounds:
+            self._int_bounds["mult"] = _int_window_ceiling(self, self.cert.mult_fatten())
+        return self._int_bounds["mult"]
 
-    def max_int_div(self) -> int:
-        if self._max_int_div is None:
+    def max_int_div(self) -> int | None:
+        if "div" not in self._int_bounds:
             fatten = self.div_cert.div_fatten(self.sys)
-            self._max_int_div = _int_window_ceiling(self, fatten, scaled_by_divisor=True)
-        return self._max_int_div
+            self._int_bounds["div"] = _int_window_ceiling(self, fatten, scaled_by_divisor=True)
+        return self._int_bounds["div"]
+
+    def mul(self, xs: Iterable[int], ys: Iterable[int], n: int, check: bool = True,
+            trace_fn: Callable[[dict], None] | None = None) -> DigitString:
+        """On-line product of two fractional operand streams (see mul_run)."""
+        return mul_run(self.sys, self.cert, self.mult_params, xs, ys, n,
+                       select_fn=self.mult_select, exact_fn=self.mult_exact, check=check,
+                       max_int_window=self.max_int_mult(), trace_fn=trace_fn)
+
+    def div(self, ns: Iterable[int], ds: Iterable[int], n: int, check: bool = True,
+            trace_fn: Callable[[dict], None] | None = None) -> DivResult:
+        """On-line quotient of a numerator stream by a preprocessed divisor
+        stream (see div_run)."""
+        if self.div_params is None:
+            raise DomainError("division unavailable: no positive divisor bound for this system")
+        return div_run(self.sys, self.div_cert, self.div_params, ns, ds, n,
+                       select_fn=self.div_select, check=check,
+                       max_int_window=self.max_int_div(), trace_fn=trace_fn)
 
 
-def _int_window_ceiling(preset: Preset, fatten: RealQuad, scaled_by_divisor: bool = False) -> int:
+def _int_window_ceiling(preset: Preset, fatten: RealQuad, scaled_by_divisor: bool = False) -> int | None:
     sys = preset.sys
     reach = sys.abs_beta(_IV) * preset.cert.k_bound + fatten.to_interval(_IV)
     if scaled_by_divisor:
         reach = reach * sys.d_max(_IV)
     rules = preset.preprocess.rules if preset.preprocess else ()
-    return int_window_ceiling(sys, reach.hi, rules, depth_cap=8)
+    try:
+        return int_window_ceiling(sys, reach.hi, rules, depth_cap=8)
+    except DomainError:
+        return None
 
 
 def _int_digits(values: list[int]) -> tuple[list[ComplexQuad], list[str]]:

@@ -17,8 +17,8 @@ from olnum.numeration import (
     parse_digits,
     zero_has_nontrivial_rep,
 )
-from olnum.online_div import div_error_constant, div_run
-from olnum.online_mul import mul_run, mult_error_constant
+from olnum.online_div import div_error_constant
+from olnum.online_mul import mult_error_constant
 from olnum.params import div_params, eisenstein_params
 from olnum.preprocess import dmin_lower_bound, preprocess_divisor
 from olnum.presets import load_preset
@@ -169,29 +169,24 @@ def _random_divisor(preset, rng, length):
 @pytest.mark.parametrize("name,seed", [("golden-square", 1001), ("knuth", 1002), ("eisenstein", 1003)])
 def test_criterion3_mult_invariants(name, seed):
     preset = load_preset(name)
-    sys_ = preset.sys
     rng = random.Random(seed)
-    bound = preset.max_int_mult()
+    assert preset.max_int_mult() is not None  # the runs enforce the preset's integer-window bound
     for _ in range(RUNS):
         xs = _random_streams(preset, rng, STEPS)
         ys = _random_streams(preset, rng, STEPS)
-        mul_run(sys_, preset.cert, preset.mult_params, xs, ys, STEPS,
-                select_fn=preset.mult_select, exact_fn=preset.mult_exact,
-                check=True, max_int_window=bound)
+        preset.mul(xs, ys, STEPS, check=True)
     _report(True, f"criterion 3+8: {name} mult: {RUNS} runs x {STEPS} steps, all step invariants exact")
 
 
 @pytest.mark.parametrize("name,seed", [("golden-square", 2001), ("knuth", 2002), ("eisenstein", 2003)])
 def test_criterion3_div_invariants(name, seed):
     preset = load_preset(name)
-    sys_ = preset.sys
     rng = random.Random(seed)
-    bound = preset.max_int_div()
+    assert preset.max_int_div() is not None  # the runs enforce the preset's integer-window bound
     for _ in range(RUNS):
         ns = _random_streams(preset, rng, STEPS)
         ds = _random_divisor(preset, rng, 20)
-        div_run(sys_, preset.div_cert, preset.div_params, ns, ds, STEPS,
-                select_fn=preset.div_select, check=True, max_int_window=bound)
+        preset.div(ns, ds, STEPS, check=True)
     _report(True, f"criterion 3+8: {name} div: {RUNS} runs x {STEPS} steps, all step invariants exact")
 
 
@@ -212,8 +207,7 @@ def test_criterion4_mult_convergence(name):
     for _ in range(5):
         xs = _random_streams(preset, rng, 12)
         ys = _random_streams(preset, rng, 12)
-        out = mul_run(sys_, preset.cert, preset.mult_params, xs, ys, STEPS,
-                      select_fn=preset.mult_select, exact_fn=preset.mult_exact, check=False)
+        out = preset.mul(xs, ys, STEPS, check=False)
         delta = preset.mult_params.delta
         x_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], xs)) * sys_.beta_pow(-delta)
         y_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ys)) * sys_.beta_pow(-delta)
@@ -232,8 +226,7 @@ def test_criterion4_div_convergence(name):
     for _ in range(5):
         ns = _random_streams(preset, rng, 12)
         ds = _random_divisor(preset, rng, 12)
-        res = div_run(sys_, preset.div_cert, preset.div_params, ns, ds, STEPS,
-                      select_fn=preset.div_select, check=False)
+        res = preset.div(ns, ds, STEPS, check=False)
         n_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ns)) \
             * sys_.beta_pow(-preset.div_params.delta - res.numerator_shift)
         d_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ds))

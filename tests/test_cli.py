@@ -3,6 +3,7 @@ import json
 import pytest
 
 from olnum.cli import main
+from olnum.presets import Preset
 
 
 @pytest.fixture()
@@ -53,6 +54,29 @@ def test_domain_error_exit_code(capsys, tmp_path):
     # fixes it, so force --no-preprocess to hit the leading-zero check
     rc = main(["div", "--preset", "golden-square", "--no-preprocess", "--digits", "5", str(n), str(d)])
     assert rc == 2
+
+
+def test_div_accepts_divisor_prefix_inside_dmin_enclosure(capsys, tmp_path):
+    # the prefixes of 0.1(-1)(-1)... fall to golden-square's d_min = 1/beta^2
+    # from above; D_18 lies below the enclosure's upper end, not below d_min
+    n = tmp_path / "n.ds"
+    d = tmp_path / "d.ds"
+    n.write_text("0 . 1\n")
+    d.write_text("0 . 1" + " -1" * 24 + "\n")
+    outs = []
+    for flags in ([], ["--no-check"]):
+        assert main(["div", "--preset", "golden-square", "--digits", "30", *flags, str(n), str(d)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-check"]])
+@pytest.mark.parametrize("kind", ["mul", "div"])
+def test_int_window_bound_enforced(capsys, monkeypatch, golden_streams, kind, flags):
+    monkeypatch.setattr(Preset, "max_int_mult" if kind == "mul" else "max_int_div", lambda self: 0)
+    a, b = golden_streams
+    assert main([kind, "--preset", "golden-square", "--digits", "8", *flags, a, b]) == 2
+    assert "window integer part exceeds the preset bound" in capsys.readouterr().err
 
 
 def test_div_rejects_zero_valued_divisor(capsys, tmp_path):

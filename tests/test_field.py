@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import olnum
 from olnum.errors import DomainError, FieldMismatchError, ParseError
 from olnum.field import (
     ComplexQuad,
@@ -194,3 +197,40 @@ class TestEvalRadical:
         s2 = sqrt_interval(2, Fraction(1, 100))
         with pytest.raises(DomainError):
             RationalInterval.point(1) / (s2 - s2)
+
+
+# math functions that are exact on ints and Fractions
+EXACT_MATH = {"gcd", "isqrt", "ceil", "floor"}
+
+
+def _float_exempt(path: Path, tree: ast.Module) -> set[int]:
+    """Nodes allowed to use floats: the CLI's display f-strings and
+    RealQuad.__float__."""
+    if path.name == "cli.py":
+        roots = [n for n in ast.walk(tree) if isinstance(n, ast.JoinedStr)]
+    elif path.name == "field.py":
+        roots = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "RealQuad"
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__float__"]
+    else:
+        roots = []
+    return {id(n) for root in roots for n in ast.walk(root)}
+
+
+def test_no_float_decides_anything():
+    found = []
+    for path in sorted(Path(olnum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = _float_exempt(path, tree)
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{where} float() call")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{where} float literal {node.value!r}")
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                found.append(f"{where} import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{a.name}" for a in node.names if a.name not in EXACT_MATH]
+    assert found == []

@@ -76,15 +76,13 @@ class TestMulStep:
 class TestMulRun:
     def test_zeros(self, golden):
         sys_ = golden.sys
-        out = mul_run(sys_, golden.cert, golden.mult_params, [], [], 10,
-                      select_fn=golden.mult_select, exact_fn=golden.mult_exact)
+        out = golden.mul([], [], 10)
         assert all(i == sys_.zero_index for i in out.frac_digits)
 
     def test_golden_square_product(self, golden):
         sys_ = golden.sys
         one = sys_.index_of_symbol("1")
-        out = mul_run(sys_, golden.cert, golden.mult_params, [one], [one], 20,
-                      select_fn=golden.mult_select, exact_fn=golden.mult_exact)
+        out = golden.mul([one], [one], 20)
         product = eval_digits(sys_, out)
         exact = sys_.beta_pow(-10)
         c = mult_error_constant(sys_, golden.cert) * sys_.abs_beta().pow_int(-20)
@@ -93,7 +91,7 @@ class TestMulRun:
     def test_knuth_square(self, knuth):
         sys_ = knuth.sys
         two = sys_.index_of_symbol("2")
-        out = mul_run(sys_, knuth.cert, knuth.mult_params, [two], [two], 24)
+        out = knuth.mul([two], [two], 24)
         product = eval_digits(sys_, out)
         exact = (sys_.digit(two) * sys_.beta_pow(-10)) ** 2  # real 2^-18
         assert exact == ComplexQuad(RealQuad(1, 0, 2**18))
@@ -103,7 +101,7 @@ class TestMulRun:
     def test_eisenstein_square(self, eisenstein):
         sys_ = eisenstein.sys
         one = sys_.index_of_symbol("1")
-        out = mul_run(sys_, eisenstein.cert, eisenstein.mult_params, [one], [one], 20)
+        out = eisenstein.mul([one], [one], 20)
         product = eval_digits(sys_, out)
         exact = sys_.beta_pow(-12)
         c = mult_error_constant(sys_, eisenstein.cert) * sys_.abs_beta().pow_int(-20)
@@ -117,8 +115,7 @@ class TestMulRun:
         for _ in range(10):
             xs = [rng.randrange(3) for _ in range(10)]
             ys = [rng.randrange(3) for _ in range(10)]
-            out = mul_run(sys_, golden.cert, golden.mult_params, xs, ys, n,
-                          select_fn=golden.mult_select, exact_fn=golden.mult_exact)
+            out = golden.mul(xs, ys, n)
             delta = golden.mult_params.delta
             x_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], xs)) * sys_.beta_pow(-delta)
             y_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ys)) * sys_.beta_pow(-delta)
@@ -126,23 +123,33 @@ class TestMulRun:
 
     def test_wrong_mode(self, golden):
         with pytest.raises(DomainError):
-            mul_run(golden.sys, golden.cert, golden.div_params, [], [], 5)
+            mul_run(golden.sys, golden.cert, golden.div_params, [], [], 5, select_fn=golden.mult_select)
+
+
+def test_no_floor_runs_unbounded():
+    # zero has a non-trivial representation here: no floor bounds the window
+    # and no divisor bound exists, so products run unbounded and division is refused
+    for name in ("integer:-3:-3:3", "integer:2:-1:2"):
+        p = load_preset(name)
+        assert p.max_int_mult() is None and p.max_int_div() is None
+        one = p.sys.index_of_symbol("1")
+        assert len(p.mul([one], [one], 12).frac_digits) == 12
+        with pytest.raises(DomainError, match="division unavailable"):
+            p.div([one], [one], 5)
 
 
 class TestDivRun:
     def test_zero_numerator(self, golden):
         sys_ = golden.sys
         one = sys_.index_of_symbol("1")
-        res = div_run(sys_, golden.div_cert, golden.div_params, [], [one], 12,
-                      select_fn=golden.div_select)
+        res = golden.div([], [one], 12)
         assert all(i == sys_.zero_index for i in res.digits.frac_digits)
         assert res.numerator_shift == 0
 
     def test_golden_quotient(self, golden):
         sys_ = golden.sys
         one = sys_.index_of_symbol("1")
-        res = div_run(sys_, golden.div_cert, golden.div_params, [one], [one], 20,
-                      select_fn=golden.div_select)
+        res = golden.div([one], [one], 20)
         q = eval_digits(sys_, res.digits)
         exact = sys_.beta_pow(-6)
         c = div_error_constant(sys_, golden.div_cert, golden.div_params.d_min) * sys_.abs_beta().pow_int(-20)
@@ -152,7 +159,7 @@ class TestDivRun:
         sys_ = eisenstein.sys
         w = sys_.index_of_symbol("w")
         one = sys_.index_of_symbol("1")
-        res = div_run(sys_, eisenstein.div_cert, eisenstein.div_params, [w], [one], 18)
+        res = eisenstein.div([w], [one], 18)
         q = eval_digits(sys_, res.digits)
         exact = sys_.digit(w) * sys_.beta_pow(-10)
         c = div_error_constant(sys_, eisenstein.div_cert, eisenstein.div_params.d_min) * sys_.abs_beta().pow_int(-18)
@@ -162,7 +169,22 @@ class TestDivRun:
         sys_ = golden.sys
         one = sys_.index_of_symbol("1")
         with pytest.raises(DomainError):
-            div_run(sys_, golden.div_cert, golden.div_params, [one], [sys_.zero_index, one], 10)
+            golden.div([one], [sys_.zero_index, one], 10)
+
+    def test_divisor_prefix_inside_dmin_enclosure(self, golden):
+        # the prefixes of 0.1(-1)(-1)... fall to d_min = 1/beta^2 from above, and
+        # D_18 lies below the upper end of d_min's enclosure: still a valid divisor
+        sys_ = golden.sys
+        one, neg = sys_.index_of_symbol("1"), sys_.index_of_symbol("-1")
+        ds = [one] + [neg] * 24
+        d_18 = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ds[:18]))
+        assert (d_18.norm_sq() - RealQuad.from_fraction(golden.div_params.d_min.hi ** 2)).sign() < 0
+        res = golden.div([one], ds, 30)
+        assert res.digits == golden.div([one], ds, 30, check=False).digits
+        d_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ds))
+        exact = sys_.beta_pow(-1 - golden.div_params.delta) / d_val
+        c = div_error_constant(sys_, golden.div_cert, golden.div_params.d_min) * sys_.abs_beta().pow_int(-30)
+        _assert_within((eval_digits(sys_, res.digits) - exact).norm_sq(), c)
 
     def test_random_quotients_exact_bound(self, golden):
         sys_ = golden.sys
@@ -177,8 +199,7 @@ class TestDivRun:
                 continue
             pre, shift = preprocess_divisor(golden.preprocess, sys_, ds_raw)
             ns = [rng.randrange(3) for _ in range(10)]
-            res = div_run(sys_, golden.div_cert, golden.div_params, ns, list(pre.frac_digits), n,
-                          select_fn=golden.div_select)
+            res = golden.div(ns, list(pre.frac_digits), n)
             n_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ns)) * sys_.beta_pow(-golden.div_params.delta)
             d_val = eval_digits(sys_, pre)
             _assert_within((eval_digits(sys_, res.digits) - n_val / d_val).norm_sq(), c)
@@ -204,7 +225,7 @@ class TestStaticShift:
         assume(not eval_digits(sys_, raw).is_zero())
         pre, _ = preprocess_divisor(p.preprocess, sys_, raw)
         ns = data.draw(st.lists(digit, max_size=10))
-        res = div_run(sys_, p.div_cert, params, ns, list(pre.frac_digits), n, select_fn=p.div_select)
+        res = p.div(ns, list(pre.frac_digits), n)
         n_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ns))
         n_val = n_val * sys_.beta_pow(-params.delta - res.numerator_shift)
         c = div_error_constant(sys_, p.div_cert, params.d_min) * sys_.abs_beta().pow_int(-n)
@@ -216,8 +237,7 @@ class TestTraceAndState:
         sys_ = golden.sys
         rows = []
         one = sys_.index_of_symbol("1")
-        mul_run(sys_, golden.cert, golden.mult_params, [one], [one], 8,
-                select_fn=golden.mult_select, exact_fn=golden.mult_exact, trace_fn=rows.append)
+        golden.mul([one], [one], 8, trace_fn=rows.append)
         assert len(rows) == 8
         assert rows[0]["k"] == 1 and "digit" in rows[0]
 
@@ -233,15 +253,15 @@ class TestTraceAndState:
                 yield idx
 
         # before the first quotient digit the run reads delta divisor digits
-        res = div_run(sys_, golden.div_cert, params, [one], divisor(), 0, select_fn=golden.div_select)
+        res = golden.div([one], divisor(), 0)
         assert res.digits.frac_digits == () and len(pulled) == params.delta
         # ... checks the first is nonzero and each of their prefixes
         with pytest.raises(DomainError):
-            div_run(sys_, golden.div_cert, params, [one], [sys_.zero_index, one], 0)
+            golden.div([one], [sys_.zero_index, one], 0)
         base2 = load_preset("integer:2:-1:1")
         one, neg = base2.sys.index_of_symbol("1"), base2.sys.index_of_symbol("-1")
         with pytest.raises(InvariantViolation, match="D_3"):
-            div_run(base2.sys, base2.div_cert, base2.div_params, [one], [one, neg, neg], 0)
+            base2.div([one], [one, neg, neg], 0)
 
 
 @pytest.mark.parametrize("check", [True, False])
@@ -266,15 +286,13 @@ class TestStreamingInputs:
         def xs():
             yield one
 
-        out = mul_run(sys_, golden.cert, golden.mult_params, xs(), iter([one]), 20,
-                      select_fn=golden.mult_select, exact_fn=golden.mult_exact)
+        out = golden.mul(xs(), iter([one]), 20)
         assert (eval_digits(sys_, out) - sys_.beta_pow(-10)).is_zero()
 
     def test_generator_divisor(self, golden):
         sys_ = golden.sys
         one = sys_.index_of_symbol("1")
-        res = div_run(sys_, golden.div_cert, golden.div_params, iter([one]), iter([one]), 15,
-                      select_fn=golden.div_select)
+        res = golden.div(iter([one]), iter([one]), 15)
         assert (eval_digits(sys_, res.digits) - sys_.beta_pow(-6)).is_zero()
 
 
@@ -288,8 +306,7 @@ class TestNonNegativeAlphabet:
         for _ in range(6):
             xs = [rng.randrange(na) for _ in range(20)]
             ys = [rng.randrange(na) for _ in range(20)]
-            out = mul_run(sys_, preset.cert, preset.mult_params, xs, ys, 25,
-                          select_fn=preset.mult_select, exact_fn=preset.mult_exact, check=True)
+            out = preset.mul(xs, ys, 25, check=True)
             d = preset.mult_params.delta
             xv = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], xs)) * sys_.beta_pow(-d)
             yv = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ys)) * sys_.beta_pow(-d)
@@ -305,8 +322,7 @@ class TestNonNegativeAlphabet:
             yield  # pragma: no cover
 
         with pytest.raises(DomainError, match="no growth phase"):
-            div_run(preset.sys, preset.div_cert, preset.div_params, unread(), unread(), 5,
-                    select_fn=preset.div_select)
+            preset.div(unread(), unread(), 5)
 
     def test_growth_phase_belongs_to_the_certificate(self):
         # every preset shares the one exact selector; the growth phase is

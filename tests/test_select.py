@@ -288,16 +288,17 @@ class TestSpecializedGoldenM:
 
 class TestSpecializedGoldenD:
     def test_boundary(self, golden):
+        # Delta = 1/beta - 1/beta^2 + 1/beta^3 = 2/beta^2 exactly, so V = +-1/beta^2
+        # sits on a tie 2V = +-Delta, where neither strict inequality holds -> 0
         sys_ = golden.sys
-        # V = Delta/2 exactly: neither strict inequality holds -> 0
-        v = _win(sys_, "0 . 0 1", 9)
-        d_text = "0 . 1"  # Delta = 1/beta; V = 1/beta^2; 2V - Delta = (2-beta)/beta^2 < 0
-        d = _win(sys_, d_text, 9)
-        # build an exact half: V with value Delta/2 is not representable in 9 digits;
-        # check the boundary semantics of the sign rule via direct windows
-        vv = window_value(sys_, v)
+        d = _win(sys_, "0 . 1 -1 1", 9)
         dd = window_value(sys_, d)
-        assert ((vv + vv) - dd).re.sign() < 0
+        for v_text, tie_sign in (("0 . 0 1", 1), ("0 . 0 -1", -1)):
+            v = _win(sys_, v_text, 9)
+            vv = window_value(sys_, v)
+            assert (vv + vv - dd * RealQuad(tie_sign)).is_zero()
+            assert golden_d_rule(sys_, v, d) == sys_.zero_index
+            assert select_d_exact(golden.div_cert, sys_, vv, dd) == sys_.zero_index
 
     def test_agrees_with_generic_random(self, golden):
         sys_, cert = golden.sys, golden.cert
@@ -386,10 +387,6 @@ class TestEisensteinDigit:
 
     def test_three_fifths(self, eisenstein):
         sys_ = eisenstein.sys
-        ds = DigitString((sys_.zero_index,), ())
-        w = Window(ds, 0, truncate(sys_, ds, 0).tail_bound)
-        # build a window whose value is 3/5 via direct construction is awkward;
-        # check the rule on the exact value instead
         assert sys_.symbol(nearest_digit(sys_, ComplexQuad(RealQuad(3, 0, 5)))) == "1"
 
 

@@ -6,8 +6,6 @@ import hashlib
 import random
 
 from olnum.numeration import DigitString, eval_digits
-from olnum.online_div import div_run
-from olnum.online_mul import mul_run
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import load_preset
 
@@ -36,14 +34,12 @@ def _streams() -> str:
         p = load_preset(name)
         sys_ = p.sys
         m = N - p.mult_params.delta
-        prod = mul_run(sys_, p.cert, p.mult_params, _digits(rng, sys_, m), _digits(rng, sys_, m), N,
-                       select_fn=p.mult_select, exact_fn=p.mult_exact, check=False)
+        prod = p.mul(_digits(rng, sys_, m), _digits(rng, sys_, m), N, check=False)
         lines.append(f"{name}|mul|{' '.join(sys_.symbol(i) for i in prod.frac_digits)}")
         num = _digits(rng, sys_, N)
         raw = DigitString((sys_.zero_index,), tuple(_divisor(rng, sys_)))
         den, shift = preprocess_divisor(p.preprocess, sys_, raw)
-        quo = div_run(sys_, p.div_cert, p.div_params, num, list(den.frac_digits), N,
-                      select_fn=p.div_select, check=False)
+        quo = p.div(num, list(den.frac_digits), N, check=False)
         digits = " ".join(sys_.symbol(i) for i in quo.digits.frac_digits)
         lines.append(f"{name}|div|{shift}|{quo.numerator_shift}|{digits}")
     return "\n".join(lines) + "\n"
@@ -69,8 +65,7 @@ def _nonneg_mul_streams() -> str:
         for check in (True, False):
             rng = random.Random(7)
             for _ in range(6):
-                prod = mul_run(sys_, p.cert, p.mult_params, _digits(rng, sys_, m), _digits(rng, sys_, m),
-                               NONNEG_N, select_fn=p.mult_select, exact_fn=p.mult_exact, check=check)
+                prod = p.mul(_digits(rng, sys_, m), _digits(rng, sys_, m), NONNEG_N, check=check)
                 lines.append(f"{name}|{check}|{' '.join(sys_.symbol(i) for i in prod.frac_digits)}")
     return "\n".join(lines) + "\n"
 
