@@ -123,7 +123,7 @@ class RealQuad:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return RealQuad(self.a * o.q - o.a * self.q, self.b * o.q - o.b * self.q, self.q * o.q, self._common_d(o))
 
     def __rsub__(self, other: Scalar) -> RealQuad:
         return (-self) + other

@@ -57,6 +57,7 @@ class NumerationSystem:
         self._pow_cache: dict[int, ComplexQuad] = {0: ComplexQuad.from_int(1), 1: base, -1: self.inv_base}
         self._index_by_value = {v: i for i, v in enumerate(self.alphabet)}
         self._index_by_symbol = {s: i for i, s in enumerate(self.symbols)}
+        self.cache: dict = {}
 
     @staticmethod
     def _max_norm_sq(values: Iterable[ComplexQuad]) -> RealQuad:
@@ -72,13 +73,13 @@ class NumerationSystem:
 
     def a_max(self, max_width: Fraction = Fraction(1, 10**12)) -> RationalInterval:
         """Enclosure of A = max |a| over the alphabet."""
-        return sqrt_enclosure(self.a_sq, max_width, self.ambient_d)
+        return memo(self, ("a_max", max_width), lambda: sqrt_enclosure(self.a_sq, max_width, self.ambient_d))
 
     def abs_beta(self, max_width: Fraction = Fraction(1, 10**12)) -> RationalInterval:
-        return sqrt_enclosure(self.beta_norm_sq, max_width, self.ambient_d)
+        return memo(self, ("abs_beta", max_width), lambda: sqrt_enclosure(self.beta_norm_sq, max_width, self.ambient_d))
 
     def abs_beta_exact(self) -> RealQuad | None:
-        return self.beta_norm_sq.sqrt_exact(self.ambient_d)
+        return memo(self, "abs_beta_exact", lambda: self.beta_norm_sq.sqrt_exact(self.ambient_d))
 
     def d_max(self, max_width: Fraction = Fraction(1, 10**12)) -> RationalInterval:
         """Upper bound on |0.d1 d2 ...| over all digit streams.
@@ -87,8 +88,8 @@ class NumerationSystem:
         never worse than A/(|beta|-1) and is attained for complex unit
         alphabets.
         """
-        denom = (self.beta_norm_sq - 1).to_interval(max_width / 4)
-        return sqrt_enclosure(self._pair_norm_sq, max_width / 4, self.ambient_d) / denom
+        return memo(self, ("d_max", max_width), lambda: sqrt_enclosure(self._pair_norm_sq, max_width / 4, self.ambient_d)
+                    / (self.beta_norm_sq - 1).to_interval(max_width / 4))
 
     def d_max_exact(self) -> RealQuad | None:
         """Exact pair bound when max|x*beta+y| lies in the field."""
@@ -170,6 +171,16 @@ class NumerationSystem:
         except KeyError as exc:
             raise ParseError(f"system config missing key {exc}") from exc
         return cls(base, alphabet, symbols)
+
+
+def memo(obj, key, make):
+    """make() on first use, then the value kept under key in obj.cache, the
+    object's own dict of derived constants (so nothing outlives the object)."""
+    try:
+        return obj.cache[key]
+    except KeyError:
+        value = obj.cache[key] = make()
+        return value
 
 
 def sqrt_enclosure(x: RealQuad, max_width: Fraction, hint_d: int = 0) -> RationalInterval:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OlnumError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem
+from .numeration import DigitString, NumerationSystem, memo
 from .params import ParamSet
 from .region import OLCertificate, digit_select, in_growth_phase, region_dist_sq
 from .select import Window, select_m, window_encode, window_value
@@ -129,9 +129,10 @@ def check_containment(
     (W, or W/D in division) lies within fatten of beta*I, and the selection
     remainder z - p within slack of I (slack 0: inside I)."""
     sys, cert = state.sys, state.cert
-    if (region_dist_sq(cert.beta_region(sys), z) - fatten * fatten).sign() > 0:
+    fatten_sq, slack_sq = memo(cert, ("bounds_sq", fatten, slack), lambda: (fatten * fatten, slack * slack))
+    if (region_dist_sq(cert.beta_region(sys), z) - fatten_sq).sign() > 0:
         raise InvariantViolation(f"step {k}: {name} left the fattened selection region")
-    if (region_dist_sq(cert.region, z - sys.digit(p)) - slack * slack).sign() > 0:
+    if (region_dist_sq(cert.region, z - sys.digit(p)) - slack_sq).sign() > 0:
         region = "fattened region" if slack.sign() else "region"
         raise InvariantViolation(f"step {k}: selection remainder left the {region}")
 

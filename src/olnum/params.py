@@ -37,10 +37,33 @@ def _first_k(pred, start: int) -> int:
     raise DomainError("no exponent satisfies the inequality within the search cap")
 
 
+_P0 = Fraction(1, 10**6)  # the first precision _certainly_less tries
+
+
+def _least_k(pred, start: int, sys: NumerationSystem, ratio: RationalInterval) -> int:
+    """Least k >= start at which pred, the monotone statement ratio < |beta|^k,
+    holds: bracketed from one enclosure (|beta|^k <= ratio.lo below the
+    bracket), then certified by pred holding at k and failing at k - 1."""
+    ab, k, power = sys.abs_beta(_P0).hi, 0, Fraction(1)
+    while power <= ratio.lo and k < start + _MAX_EXP:
+        k, power = k + 1, power * ab
+    k = _first_k(pred, max(k, start))
+    while k > start and pred(k - 1):
+        k -= 1
+    return k
+
+
+def _least_power(sys: NumerationSystem, cert: OLCertificate, lhs_fn, start: int) -> int:
+    """Least k >= start with lhs < (eps/2) |beta|^k, lhs enclosed by lhs_fn(prec)."""
+    def pred(k):
+        return _certainly_less(lhs_fn, lambda p: cert.epsilon.to_interval(p) * sys.abs_beta(p).pow_int(k) / 2)
+    return _least_k(pred, start, sys, 2 * lhs_fn(_P0) / cert.epsilon.to_interval(_P0))
+
+
 def _certainly_less(lhs_fn, rhs_fn) -> bool:
     """Strict comparison of interval-valued quantities with escalation;
     raises when undecidable at the precision cap."""
-    prec = Fraction(1, 10**6)
+    prec = _P0
     for _ in range(24):
         lhs = lhs_fn(prec)
         rhs = rhs_fn(prec)
@@ -58,30 +81,18 @@ def mult_params(sys: NumerationSystem, cert: OLCertificate) -> ParamSet:
     eps_half = cert.epsilon / 2
     beta_abs = sys.abs_beta_exact()
     a_exact = sys.a_sq.sqrt_exact()
+
+    def least_power_exact(c: RealQuad, start: int) -> int:  # c < (eps/2) |beta|^k, decided in the field
+        return _least_k(lambda k: (eps_half * beta_abs**k - c).sign() > 0, start, sys, (c / eps_half).to_interval(_P0))
+
     if beta_abs is not None:
-        c_delta = (sys.a_sq + sys.a_sq) / (beta_abs - 1)
-        delta = _first_k(lambda k: (eps_half * beta_abs**k - c_delta).sign() > 0, 1)
+        delta = least_power_exact((sys.a_sq + sys.a_sq) / (beta_abs - 1), 1)
     else:
-        def c_delta_iv(prec):
-            ab = sys.abs_beta(prec)
-            return 2 * sys.a_sq.to_interval(prec) / (ab - 1)
-
-        delta = _first_k(
-            lambda k: _certainly_less(c_delta_iv, lambda p: cert.epsilon.to_interval(p) * sys.abs_beta(p).pow_int(k) / 2),
-            1,
-        )
+        delta = _least_power(sys, cert, lambda p: 2 * sys.a_sq.to_interval(p) / (sys.abs_beta(p) - 1), 1)
     if beta_abs is not None and a_exact is not None:
-        c_l = a_exact / (beta_abs - 1)
-        window_l = _first_k(lambda k: (eps_half * beta_abs**k - c_l).sign() > 0, 0)
+        window_l = least_power_exact(a_exact / (beta_abs - 1), 0)
     else:
-        def c_l_iv(prec):
-            ab = sys.abs_beta(prec)
-            return sys.a_max(prec) / (ab - 1)
-
-        window_l = _first_k(
-            lambda k: _certainly_less(c_l_iv, lambda p: cert.epsilon.to_interval(p) * sys.abs_beta(p).pow_int(k) / 2),
-            0,
-        )
+        window_l = _least_power(sys, cert, lambda p: sys.a_max(p) / (sys.abs_beta(p) - 1), 0)
     return ParamSet(delta=delta, window_l=window_l, mode="mult")
 
 
@@ -97,7 +108,9 @@ def round_up(fr: Fraction, grid: int = _GRID) -> Fraction:
     return Fraction(ceil(fr * grid), grid)
 
 
-def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterval) -> ParamSet:
+def div_alpha(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterval) -> Fraction:
+    """Truncation radius of the division windows: 7/8 of the supremum of
+    alpha (1 + |beta| K + eps) < (eps/2) d_min, rounded down and re-checked."""
     if cert.selects_nearest:
         raise DomainError("mu/nu certificates use the dedicated frontier derivation")
     if d_min.lo <= 0:
@@ -117,6 +130,11 @@ def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterv
         lambda p: cert.epsilon.to_interval(p) * RationalInterval.point(d_min.lo) / 2,
     ):
         raise DomainError("alpha inequality not satisfiable at this precision")
+    return alpha
+
+
+def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterval) -> ParamSet:
+    alpha = div_alpha(sys, cert, d_min)
 
     def delta_lhs(prec):
         a = sys.a_max(prec)
@@ -124,16 +142,15 @@ def div_params(sys: NumerationSystem, cert: OLCertificate, d_min: RationalInterv
         eps = cert.epsilon.to_interval(prec)
         return (a / RationalInterval.point(d_min.lo)) * (1 + a / (ab - 1) + cert.k_bound + eps)
 
-    delta = _first_k(
-        lambda k: _certainly_less(delta_lhs, lambda p: cert.epsilon.to_interval(p) * sys.abs_beta(p).pow_int(k) / 2),
-        1,
-    )
-    window_l = _first_k(
+    delta = _least_power(sys, cert, delta_lhs, 1)
+    window_l = _least_k(
         lambda k: _certainly_less(
             lambda p: sys.a_max(p) / (sys.abs_beta(p).pow_int(k) * (sys.abs_beta(p) - 1)),
             lambda p: RationalInterval.point(alpha),
         ),
         0,
+        sys,
+        sys.a_max(_P0) / ((sys.abs_beta(_P0) - 1) * alpha),
     )
     return ParamSet(delta=delta, window_l=window_l, mode="div", alpha=alpha, d_min=d_min)
 

@@ -9,17 +9,17 @@ the smaller digit, matching the specialized selection rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import CertificateError, DomainError, ParseError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem
+from .numeration import DigitString, NumerationSystem, memo
 from .online_div import DivResult, DivSelectFn, div_run, make_generic_div_select
 from .online_mul import ExactFn, SelectFn, generic_mult_exact, generic_mult_select, mul_run
-from .params import FrontierPoint, ParamSet, _eis_feasible, div_params, mult_params
+from .params import FrontierPoint, ParamSet, _eis_feasible, div_alpha, div_params, mult_params
 from .preprocess import PreprocessSpec, RewriteRule, dmin_lower_bound, dmin_search, expand_rules, verify_rules
 from .region import (
     ConvexPolygon,
@@ -38,7 +38,8 @@ class Preset:
     each mode's certificate, parameters, selectors and integer-window bound
     to the engine.  The generic parameters and the Eisenstein frontier are
     derived where they are printed (``olnum params``); the integer-window
-    bounds are computed on first use.  Selection policy, such as the growth
+    bounds and their floor are computed on first use and kept in ``cache``,
+    which belongs to this preset alone.  Selection policy, such as the growth
     phase of non-negative alphabets, belongs to the certificate, so every
     preset shares one exact selector, ``mult_exact``."""
 
@@ -52,20 +53,16 @@ class Preset:
     mult_select: SelectFn
     div_select: DivSelectFn | None
     mult_exact: ExactFn = field(default_factory=lambda: generic_mult_exact, init=False, repr=False, compare=False)
-    _int_bounds: dict[str, int | None] = field(default_factory=dict, init=False, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def max_int_mult(self) -> int | None:
         """Integer positions a product window may occupy; None when the
         system has no floor to bound them (the run is then unbounded)."""
-        if "mult" not in self._int_bounds:
-            self._int_bounds["mult"] = _int_window_ceiling(self, self.cert.mult_fatten())
-        return self._int_bounds["mult"]
+        return memo(self, "mult", lambda: _int_window_ceiling(self, self.cert.mult_fatten()))
 
     def max_int_div(self) -> int | None:
-        if "div" not in self._int_bounds:
-            fatten = self.div_cert.div_fatten(self.sys)
-            self._int_bounds["div"] = _int_window_ceiling(self, fatten, scaled_by_divisor=True)
-        return self._int_bounds["div"]
+        return memo(self, "div", lambda: _int_window_ceiling(
+            self, self.div_cert.div_fatten(self.sys), scaled_by_divisor=True))
 
     def mul(self, xs: Iterable[int], ys: Iterable[int], n: int, check: bool = True,
             trace_fn: Callable[[dict], None] | None = None) -> DigitString:
@@ -85,16 +82,35 @@ class Preset:
                        max_int_window=self.max_int_div(), trace_fn=trace_fn)
 
 
+def _window_floor(preset: Preset) -> RationalInterval | None:
+    """dmin_search's floor of irreducible leading prefixes, shared by both
+    integer-window bounds; None when there is none."""
+    def search():
+        try:
+            return dmin_search(preset.sys, preset.preprocess.rules if preset.preprocess else (), depth_cap=8)[1]
+        except DomainError:
+            return None
+    return memo(preset, "floor", search)
+
+
+def _floor_is_analysis(preset: Preset) -> Preset:
+    """Seed the floor with the preprocessing analysis where that analysis is
+    dmin_search's own: the same rules, its first positive depth, the same
+    enclosure (golden-square, golden-mean and the integer presets)."""
+    if preset.preprocess.d_min.lo > 0:
+        preset.cache["floor"] = preset.preprocess.d_min
+    return preset
+
+
 def _int_window_ceiling(preset: Preset, fatten: RealQuad, scaled_by_divisor: bool = False) -> int | None:
+    floor = _window_floor(preset)
+    if floor is None:
+        return None
     sys = preset.sys
     reach = sys.abs_beta(_IV) * preset.cert.k_bound + fatten.to_interval(_IV)
     if scaled_by_divisor:
         reach = reach * sys.d_max(_IV)
-    rules = preset.preprocess.rules if preset.preprocess else ()
-    try:
-        return int_window_ceiling(sys, reach.hi, rules, depth_cap=8)
-    except DomainError:
-        return None
+    return int_window_ceiling(sys, reach.hi, floor)
 
 
 def _int_digits(values: list[int]) -> tuple[list[ComplexQuad], list[str]]:
@@ -105,7 +121,7 @@ def _int_digits(values: list[int]) -> tuple[list[ComplexQuad], list[str]]:
 def derived_preset(name: str, sys: NumerationSystem, cert: OLCertificate, spec: PreprocessSpec) -> Preset:
     """Preset with the generic selectors whose run parameters are all derived
     from the certificate and the divisor bound (division unavailable when that
-    bound is not positive); bundled presets override fields with replace()."""
+    bound is not positive)."""
     gen_div = div_params(sys, cert, spec.d_min) if spec.d_min.lo > 0 else None
     return Preset(
         name=name,
@@ -148,7 +164,6 @@ def _golden_square() -> Preset:
     sys = NumerationSystem(beta, digits, symbols)
     cert = real_interval_certificate(sys)
     d_min = dmin_lower_bound(sys, (), 1)  # exact 1/beta^2
-    derived = derived_preset("golden-square", sys, cert, PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1))
 
     def mult_select(s, c, w):
         return golden_m_rule(s, w)
@@ -156,13 +171,18 @@ def _golden_square() -> Preset:
     def div_select(s, c, w, d):
         return golden_d_rule(s, w, d)
 
-    return replace(
-        derived,
+    # the paper's (delta, L) with the generic alpha
+    return _floor_is_analysis(Preset(
+        name="golden-square",
+        sys=sys,
+        cert=cert,
+        div_cert=cert,
+        preprocess=PreprocessSpec(rules=(), d_min=d_min, analysis_depth=1),
         mult_params=ParamSet(delta=4, window_l=3, mode="mult"),
-        div_params=ParamSet(delta=6, window_l=9, mode="div", alpha=derived.div_params.alpha, d_min=d_min),
+        div_params=ParamSet(delta=6, window_l=9, mode="div", alpha=div_alpha(sys, cert, d_min), d_min=d_min),
         mult_select=mult_select,
         div_select=div_select,
-    )
+    ))
 
 
 def _golden_mean() -> Preset:
@@ -180,7 +200,7 @@ def _golden_mean() -> Preset:
     ]
     rules = tuple(expand_rules(sys, seeds))
     d_min = dmin_lower_bound(sys, rules, 3)  # exact 1/beta^5
-    return derived_preset("golden-mean", sys, cert, PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3))
+    return _floor_is_analysis(derived_preset("golden-mean", sys, cert, PreprocessSpec(rules=rules, d_min=d_min, analysis_depth=3)))
 
 
 def _knuth() -> Preset:
@@ -305,7 +325,7 @@ def _integer_preset(b: int, m: int, M: int) -> Preset:
     digits, symbols = _int_digits(list(range(m, M + 1)))
     sys = NumerationSystem(beta, digits, symbols)
     cert = real_interval_certificate(sys)
-    return derived_preset(f"integer:{b}:{m}:{M}", sys, cert, _integer_preprocess(sys, b, m, M))
+    return _floor_is_analysis(derived_preset(f"integer:{b}:{m}:{M}", sys, cert, _integer_preprocess(sys, b, m, M)))
 
 
 def _integer_preprocess(sys: NumerationSystem, b: int, m: int, M: int) -> PreprocessSpec:

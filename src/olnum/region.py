@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .errors import CertificateError, DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import NumerationSystem
+from .numeration import NumerationSystem, memo
 
 _RQ0 = RealQuad(0)
 
@@ -36,7 +36,7 @@ class ConvexPolygon:
     """Counterclockwise convex polygon; the 2-vertex degenerate form encodes
     a real interval [lo, hi]."""
 
-    __slots__ = ("vertices", "_halfplanes")
+    __slots__ = ("vertices", "cache")
 
     def __init__(self, vertices: Sequence[ComplexQuad]):
         pts = tuple(vertices)
@@ -62,7 +62,7 @@ class ConvexPolygon:
             if not all(s > 0 for s in signs):
                 raise CertificateError("region not strictly convex")
         object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "_halfplanes", None)
+        object.__setattr__(self, "cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("ConvexPolygon is immutable")
@@ -86,11 +86,11 @@ class ConvexPolygon:
     def halfplanes(self) -> list[tuple[RealQuad, RealQuad, RealQuad, RealQuad]]:
         """(gx, gy, c, nsq) per edge with the interior satisfying
         gx*x + gy*y >= c."""
-        cached = self._halfplanes
-        if cached is None:
-            cached = _poly_halfplanes(self.vertices)
-            object.__setattr__(self, "_halfplanes", cached)
-        return cached
+        return memo(self, "halfplanes", lambda: _poly_halfplanes(self.vertices))
+
+    def edge_norms(self) -> list[RealQuad | None]:
+        """|g| per half-plane, exact (None where it leaves the field)."""
+        return memo(self, "norms", lambda: [nsq.sqrt_exact(self.ambient_d) for *_, nsq in self.halfplanes()])
 
     def translate(self, a: ComplexQuad) -> ConvexPolygon:
         return ConvexPolygon([v + a for v in self.vertices])
@@ -176,38 +176,33 @@ def region_dist_sq(region: ConvexPolygon, p: ComplexQuad) -> RealQuad:
 # -- clipping ------------------------------------------------------------------
 
 
-def _clip(points: list[ComplexQuad], gx: RealQuad, gy: RealQuad, c: RealQuad, keep_ge: bool) -> list[ComplexQuad]:
-    if not points:
-        return []
-    out: list[ComplexQuad] = []
+def _split(points: list[ComplexQuad], gx: RealQuad, gy: RealQuad, c: RealQuad) -> tuple[list, list]:
+    """One Sutherland-Hodgman pass: the parts of a convex polygon with
+    g.x >= c and with g.x <= c, each side value and crossing computed once."""
+    inside: list[ComplexQuad] = []
+    outside: list[ComplexQuad] = []
     n = len(points)
-    sides = []
-    for p in points:
-        s = gx * p.re + gy * p.im - c
-        sides.append(s if keep_ge else -s)
+    sides = [gx * p.re + gy * p.im - c for p in points]
+    signs = [s.sign() for s in sides]
     for i in range(n):
         cur, nxt = points[i], points[(i + 1) % n]
-        s_cur, s_nxt = sides[i], sides[(i + 1) % n]
-        sg_cur, sg_nxt = s_cur.sign(), s_nxt.sign()
+        sg_cur, sg_nxt = signs[i], signs[(i + 1) % n]
         if sg_cur >= 0:
-            out.append(cur)
-        if (sg_cur > 0 and sg_nxt < 0) or (sg_cur < 0 and sg_nxt > 0):
-            t = s_cur / (s_cur - s_nxt)
-            out.append(cur + (nxt - cur) * ComplexQuad(t))
-    return out
-
-
-def _area2(points: list[ComplexQuad]) -> RealQuad:
-    acc = _RQ0
-    n = len(points)
-    for i in range(n):
-        p, q = points[i], points[(i + 1) % n]
-        acc = acc + (p.re * q.im - q.re * p.im)
-    return acc
+            inside.append(cur)
+        if sg_cur <= 0:
+            outside.append(cur)
+        if sg_cur * sg_nxt < 0:
+            t = sides[i] / (sides[i] - sides[(i + 1) % n])
+            cross = ComplexQuad(cur.re + (nxt.re - cur.re) * t, cur.im + (nxt.im - cur.im) * t)
+            inside.append(cross)
+            outside.append(cross)
+    return inside, outside
 
 
 def _positive_area(points: list[ComplexQuad]) -> bool:
-    return len(points) >= 3 and _area2(points).sign() > 0
+    """A convex point list encloses positive area (counterclockwise) exactly
+    when one of its fan triangles turns left."""
+    return any(_cross(points[0], points[i], points[i + 1]).sign() > 0 for i in range(1, len(points) - 1))
 
 
 def _subtract(pieces: list[list[ComplexQuad]], halfplanes) -> list[list[ComplexQuad]]:
@@ -217,10 +212,9 @@ def _subtract(pieces: list[list[ComplexQuad]], halfplanes) -> list[list[ComplexQ
     for piece in pieces:
         rem = piece
         for gx, gy, c, _ in halfplanes:
-            outside = _clip(rem, gx, gy, c, keep_ge=False)
+            rem, outside = _split(rem, gx, gy, c)
             if _positive_area(outside):
                 out.append(outside)
-            rem = _clip(rem, gx, gy, c, keep_ge=True)
             if not _positive_area(rem):
                 rem = []
                 break
@@ -230,11 +224,8 @@ def _subtract(pieces: list[list[ComplexQuad]], halfplanes) -> list[list[ComplexQ
 def _mitered_offset(poly: ConvexPolygon, amount: RealQuad) -> list[ComplexQuad]:
     """Outer polygon containing the rounded offset; vertices are the
     intersections of adjacent outward-shifted edge lines."""
-    planes = poly.halfplanes()
-    hint = poly.ambient_d
     shifted = []
-    for gx, gy, c, nsq in planes:
-        norm = nsq.sqrt_exact(hint)
+    for (gx, gy, c, _), norm in zip(poly.halfplanes(), poly.edge_norms()):
         if norm is None:
             raise CertificateError(
                 "edge length is not representable in the field; exact offset impossible"
@@ -257,11 +248,10 @@ def _mitered_offset(poly: ConvexPolygon, amount: RealQuad) -> list[ComplexQuad]:
 def _inward_planes(poly: ConvexPolygon, shift_by: ComplexQuad, erosion: RealQuad):
     """Half-planes of erode(poly + shift_by, erosion)."""
     out = []
-    hint = poly.ambient_d
-    for gx, gy, c, nsq in poly.halfplanes():
+    for i, (gx, gy, c, nsq) in enumerate(poly.halfplanes()):
         c_shift = c + gx * shift_by.re + gy * shift_by.im
         if erosion.sign() > 0:
-            norm = nsq.sqrt_exact(hint)
+            norm = poly.edge_norms()[i]
             if norm is None:
                 raise CertificateError(
                     "edge length is not representable in the field; exact erosion impossible"
@@ -388,7 +378,7 @@ class OLCertificate:
         # multiplication starts with a growth phase (in_growth_phase)
         self.right_of_zero = region.is_interval and region.interval_bounds()[0].sign() > 0
         self.k_bound = _k_bound(region, Fraction(1, 10**12))
-        self._scaled: dict[ComplexQuad, ConvexPolygon] = {}
+        self.cache: dict = {}  # derived constants (memo), filled on first use
 
     @property
     def variant(self) -> str:
@@ -396,28 +386,24 @@ class OLCertificate:
 
     # largest |x| over the region, attained at a vertex
     def beta_region(self, sys: NumerationSystem) -> ConvexPolygon:
-        cached = self._scaled.get(sys.base)
-        if cached is None:
-            cached = self.region.scale(sys.base)
-            self._scaled[sys.base] = cached
-        return cached
+        return memo(self, ("beta_region", sys.base), lambda: self.region.scale(sys.base))
 
     def trunc_radius(self) -> RealQuad:
-        return self.mu / 2 if self.selects_nearest else self.epsilon / 2
+        return memo(self, "trunc", lambda: self.mu / 2 if self.selects_nearest else self.epsilon / 2)
 
     def select_fatten(self) -> RealQuad:
-        return self.epsilon + self.mu / 2 if self.selects_nearest else self.epsilon
+        return memo(self, "select", lambda: self.epsilon + self.mu / 2 if self.selects_nearest else self.epsilon)
 
     def mult_fatten(self) -> RealQuad:
-        return self.epsilon if self.selects_nearest else self.epsilon / 2
+        return memo(self, "mult", lambda: self.epsilon if self.selects_nearest else self.epsilon / 2)
 
     def div_fatten(self, sys: NumerationSystem) -> RealQuad:
-        if self.selects_nearest:
-            beta_abs = sys.abs_beta_exact()
-            if beta_abs is None:
-                raise CertificateError("|beta| is not a field element; mu/nu bookkeeping unavailable")
-            return beta_abs * self.mu + self.nu
-        return self.epsilon / 2
+        if not self.selects_nearest:
+            return memo(self, "div", lambda: self.epsilon / 2)
+        beta_abs = sys.abs_beta_exact()
+        if beta_abs is None:
+            raise CertificateError("|beta| is not a field element; mu/nu bookkeeping unavailable")
+        return memo(self, ("div", sys), lambda: beta_abs * self.mu + self.nu)
 
     def to_dict(self) -> dict:
         out = {
@@ -585,7 +571,7 @@ def _verify_polygon(sys: NumerationSystem, cert: OLCertificate) -> VerifyResult:
         planes = _inward_planes(cert.region, d, eps)
         pts = list(cert.region.translate(d).vertices)
         for gx, gy, c, _ in planes:
-            pts = _clip(pts, gx, gy, c, keep_ge=True)
+            pts = _split(pts, gx, gy, c)[0]
             if not pts:
                 break
         if pts and _positive_area(pts):
@@ -695,9 +681,8 @@ def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> 
     inside the selection domain.  In the growth phase the digit is 0."""
     if in_growth_phase(cert, sys, v):
         return sys.zero_index
-    fatten = cert.select_fatten()
     dist = region_dist_sq(cert.beta_region(sys), v)
-    if (dist - fatten * fatten).sign() > 0:
+    if (dist - memo(cert, "select_sq", lambda: cert.select_fatten() ** 2)).sign() > 0:
         raise DomainError("value outside the digit selection domain")
     best = nearest_admissible(cert, sys, v)
     if best is None:

@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import DomainError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, scale_into_region
+from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, memo, scale_into_region
 from .preprocess import RewriteRule, dmin_search
 from .region import (
     ConvexPolygon,
@@ -45,10 +45,11 @@ class Window:
 
 def generic_tail_bound(sys: NumerationSystem, L: int) -> RationalInterval:
     """Enclosure of A / (|beta|^L (|beta| - 1)), the worst-case tail of any
-    stream truncated after L fractional digits."""
-    a = sys.a_max(_IV_PREC)
-    ab = sys.abs_beta(_IV_PREC)
-    return a / (ab.pow_int(L) * (ab - 1))
+    stream truncated after L fractional digits; once per system and L."""
+    def make():
+        ab = sys.abs_beta(_IV_PREC)
+        return sys.a_max(_IV_PREC) / (ab.pow_int(L) * (ab - 1))
+    return memo(sys, ("tail", L), make)
 
 
 def truncate(sys: NumerationSystem, ds: DigitString, L: int) -> Window:
@@ -87,7 +88,7 @@ def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad
     if r.is_zero():
         tail = RationalInterval.point(0)
     else:
-        tail = cert.k_bound / sys.abs_beta(_IV_PREC).pow_int(L)
+        tail = memo(cert, ("tail", sys, L), lambda: cert.k_bound / sys.abs_beta(_IV_PREC).pow_int(L))
     if shift >= 0:
         int_part = digits[:shift] if shift else [sys.zero_index]
         frac_part = digits[shift:]
@@ -123,14 +124,14 @@ def select_d(
     alpha: Fraction,
     d_min: RationalInterval,
 ) -> int:
-    alpha_rq = RealQuad.from_fraction(alpha)
+    alpha_rq = memo(cert, ("alpha", alpha), lambda: RealQuad.from_fraction(alpha))
     if not _tail_below(w.tail_bound, alpha_rq) or not _tail_below(d.tail_bound, alpha_rq):
         raise DomainError("window tail bound too large for alpha")
     v = window_value(sys, w)
     delta = window_value(sys, d)
     if delta.is_zero():
         raise DomainError("divisor window evaluates to zero")
-    if (delta.norm_sq() - RealQuad.from_fraction(d_min.lo * d_min.lo)).sign() < 0:
+    if (delta.norm_sq() - memo(cert, ("d_min_sq", d_min.lo), lambda: RealQuad.from_fraction(d_min.lo ** 2))).sign() < 0:
         raise DomainError("divisor window below the certified minimum modulus")
     return select_d_exact(cert, sys, v, delta)
 
@@ -232,20 +233,12 @@ class SelectTable:
         return "\n".join(lines) + "\n"
 
 
-def _frac_reach(sys: NumerationSystem) -> Fraction:
-    """Upper bound on |sum of the fractional digits| of any window."""
-    a = sys.a_max(_IV_PREC)
-    ab = sys.abs_beta(_IV_PREC)
-    return (a / (ab - 1)).hi
-
-
-def int_window_ceiling(sys: NumerationSystem, reach: Fraction, rules, depth_cap: int) -> int:
+def int_window_ceiling(sys: NumerationSystem, reach: Fraction, floor: RationalInterval) -> int:
     """Analytic bound on the integer positions of a window whose value has
     modulus at most reach: an irreducible leading prefix is at least the
-    positive floor found by dmin_search, and each further integer position
-    multiplies it by |beta|.  Raises DomainError when there is no floor."""
-    _, floor = dmin_search(sys, rules, depth_cap)
-    ratio = max((reach + _frac_reach(sys)) / floor.lo, Fraction(2))
+    positive floor (as found by dmin_search), and each further integer
+    position multiplies it by |beta|."""
+    ratio = max((reach + generic_tail_bound(sys, 0).hi) / floor.lo, Fraction(2))
     ab = sys.abs_beta(_IV_PREC).lo
     if ab <= 1:
         raise DomainError("|beta| too close to 1 for an integer-window bound")
@@ -264,8 +257,8 @@ def max_int_window(
     can still meet the domain: the windows below int_window_ceiling are
     enumerated, pruned by modulus.  Raises when that ceiling does not exist."""
     reach = _domain_reach(sys, domain)
-    frac = _frac_reach(sys)
-    bound = int_window_ceiling(sys, reach, rules, depth_cap=12)
+    frac = generic_tail_bound(sys, 0).hi  # bounds |sum of the fractional digits| of any window
+    bound = int_window_ceiling(sys, reach, dmin_search(sys, rules, 12)[1])
     reach_sq = RealQuad.from_fraction(frac ** 2)
     prune_sq = RealQuad.from_fraction((reach + 2 * frac + 1) ** 2)
     best = 0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from olnum.cli import main
+from olnum.field import ComplexQuad, RealQuad
 from olnum.presets import Preset
 
 
@@ -328,6 +329,32 @@ def test_check_ol_custom_pass(capsys, tmp_path):
     rc = main(["check-ol", "--system", str(sys_file), "--region", str(cert_file)])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "pass"
+
+
+@pytest.mark.parametrize("case, stdout", [
+    ("knuth-eps-1/2", "fail witness=(37/18)+(29/18)i uncovered point in the fattened region\n"),
+    ("mu-nu-over-budget", "fail budget |beta|*mu + nu exceeds the covering radius\n"),
+    ("mu-nu-small-hexagon",
+     "fail witness=((63+1*sqrt(3))/100)+((-1+19*sqrt(3))/100)i uncovered point in the fattened region\n"),
+])
+def test_check_ol_failure_stdout_pinned(capsys, tmp_path, case, stdout):
+    # recorded when the covering check clipped each piece twice per half-plane
+    from olnum.presets import load_preset
+
+    preset = load_preset("knuth" if case.startswith("knuth") else "eisenstein")
+    cert = preset.cert.to_dict()
+    if case == "knuth-eps-1/2":
+        cert["epsilon"] = {"a": 1, "q": 2}
+    elif case == "mu-nu-over-budget":
+        cert.update(mu={"a": 1, "q": 4}, nu={"a": 1, "q": 4})
+    else:
+        shrunk = preset.cert.region.scale(ComplexQuad(RealQuad(4, 0, 5)))
+        cert.update(vertices=shrunk.to_list(), mu={"a": 1, "q": 100}, nu={"a": 1, "q": 100})
+    sys_file, cert_file = tmp_path / "sys.json", tmp_path / "cert.json"
+    sys_file.write_text(json.dumps(preset.sys.to_dict()))
+    cert_file.write_text(json.dumps(cert))
+    assert main(["check-ol", "--system", str(sys_file), "--region", str(cert_file)]) == 3
+    assert capsys.readouterr().out == stdout
 
 
 def test_check_ol_rejects_variant_disagreeing_with_mu_nu(capsys, tmp_path):

@@ -234,3 +234,48 @@ def test_no_float_decides_anything():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where} math.{a.name}" for a in node.names if a.name not in EXACT_MATH]
     assert found == []
+
+
+# module-level state allowed to change: the square-free memo of field
+# descriptors, the pinned Eisenstein pairs and the export list
+MODULE_STATE = {"_SQUAREFREE_OK", "EISENSTEIN_PAIRS", "__all__"}
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "Counter", "OrderedDict", "deque", "bytearray"}
+
+
+def _functools_cache(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "lru_cache"
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "functools" and node.attr in ("lru_cache", "cache")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name == "cache" for a in node.names)
+    return False
+
+
+def _mutable(value) -> bool:
+    if isinstance(value, _MUTABLE_DISPLAYS):
+        return True
+    return isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id in _MUTABLE_CALLS
+
+
+def test_no_cache_outlives_a_load():
+    """Derived constants live on the objects a load builds, so that
+    load_preset.cache_clear() drops them all: no lru_cache or functools.cache
+    but the one on load_preset, and no mutable container held by a module or
+    a class but MODULE_STATE."""
+    found = []
+    for path in sorted(Path(olnum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(n) for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "load_preset"
+                  for dec in top.decorator_list for n in ast.walk(dec)}
+        found += [f"{path.name}:{n.lineno} functools cache" for n in ast.walk(tree)
+                  if _functools_cache(n) and id(n) not in exempt]
+        bodies = [tree.body] + [top.body for top in tree.body if isinstance(top, ast.ClassDef)]
+        for stmt in (s for body in bodies for s in body):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            for target in targets:
+                name = getattr(target, "id", "")
+                if stmt.value is not None and _mutable(stmt.value) and name not in MODULE_STATE:
+                    found.append(f"{path.name}:{stmt.lineno} module or class state {name}")
+    assert found == []

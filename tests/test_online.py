@@ -1,5 +1,7 @@
 import random
 from dataclasses import replace
+from functools import cmp_to_key
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -184,6 +186,37 @@ class TestDivRun:
         d_val = eval_digits(sys_, DigitString.make(sys_, [sys_.zero_index], ds))
         exact = sys_.beta_pow(-1 - golden.div_params.delta) / d_val
         c = div_error_constant(sys_, golden.div_cert, golden.div_params.d_min) * sys_.abs_beta().pow_int(-30)
+        _assert_within((eval_digits(sys_, res.digits) - exact).norm_sq(), c)
+
+    def test_golden_mean_divisor_prefix_inside_dmin_enclosure(self):
+        # the least irreducible prefix of the analysis depth (the minimiser of
+        # dmin_lower_bound(sys, rules, 3)), then at each position the digit that
+        # lowers |D_k| most: the prefixes fall to d_min = 1/beta^5 from above
+        p = load_preset("golden-mean")
+        sys_, rules, d_min = p.sys, p.preprocess.rules, p.div_params.d_min
+
+        def value(ds):
+            return eval_digits(sys_, DigitString((sys_.zero_index,), tuple(ds)))
+
+        def least(candidates):
+            return min(candidates, key=cmp_to_key(lambda s, t: (value(s).norm_sq() - value(t).norm_sq()).sign()))
+
+        ds = list(least([c for c in product(range(3), repeat=3)
+                         if c[0] != sys_.zero_index and not any(c[:len(r.lhs)] == r.lhs for r in rules)]))
+        n = 32
+        while len(ds) < n + p.div_params.delta:
+            ds = least([ds + [i] for i in range(3)])
+        assert [sys_.symbol(i) for i in ds[:5]] == ["1", "-1", "1", "-1", "-1"]
+        raw = DigitString((sys_.zero_index,), tuple(ds))
+        assert preprocess_divisor(p.preprocess, sys_, raw) == (raw, 0)  # already preprocessed
+        inside = [k for k in range(1, len(ds) + 1)
+                  if (value(ds[:k]).norm_sq() - RealQuad.from_fraction(d_min.hi ** 2)).sign() < 0]
+        assert inside and inside[0] == 40 <= n + p.div_params.delta  # D_40 onwards: inside the enclosure
+        one = sys_.index_of_symbol("1")
+        res = p.div([one], ds, n)
+        assert res.digits == p.div([one], ds, n, check=False).digits
+        exact = sys_.beta_pow(-1 - p.div_params.delta) / value(ds)
+        c = div_error_constant(sys_, p.div_cert, d_min) * sys_.abs_beta().pow_int(-n)
         _assert_within((eval_digits(sys_, res.digits) - exact).norm_sq(), c)
 
     def test_random_quotients_exact_bound(self, golden):

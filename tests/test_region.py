@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from olnum.errors import CertificateError, DomainError
 from olnum.field import ComplexQuad, RealQuad
@@ -9,6 +10,9 @@ from olnum.presets import load_preset
 from olnum.region import (
     ConvexPolygon,
     OLCertificate,
+    _cross,
+    _positive_area,
+    _split,
     complex_parallelogram_certificate,
     digit_select,
     real_interval_certificate,
@@ -266,3 +270,134 @@ class TestSymmetries:
         digits = [ComplexQuad.from_int(v) for v in (0, 1, -1, 2, -2)]
         sys_neg = NumerationSystem(beta_neg, digits, ["0", "1", "-1", "2", "-2"])
         assert verify_certificate(sys_neg, p.cert).passed
+
+
+# -- one-pass split against two clips ------------------------------------------------
+
+
+def _clip_ref(points, gx, gy, c, keep_ge):
+    """Reference: the Sutherland-Hodgman clip that keeps g.x >= c (keep_ge) or
+    g.x <= c, one half at a time (how the covering check split pieces before)."""
+    if not points:
+        return []
+    out = []
+    n = len(points)
+    sides = []
+    for p in points:
+        s = gx * p.re + gy * p.im - c
+        sides.append(s if keep_ge else -s)
+    for i in range(n):
+        cur, nxt = points[i], points[(i + 1) % n]
+        s_cur, s_nxt = sides[i], sides[(i + 1) % n]
+        sg_cur, sg_nxt = s_cur.sign(), s_nxt.sign()
+        if sg_cur >= 0:
+            out.append(cur)
+        if (sg_cur > 0 and sg_nxt < 0) or (sg_cur < 0 and sg_nxt > 0):
+            t = s_cur / (s_cur - s_nxt)
+            out.append(cur + (nxt - cur) * ComplexQuad(t))
+    return out
+
+
+def _area2_ref(points):
+    acc = RealQuad(0)
+    for i, p in enumerate(points):
+        q = points[(i + 1) % len(points)]
+        acc = acc + (p.re * q.im - q.re * p.im)
+    return acc
+
+
+def _hull(points):
+    """Strictly convex counterclockwise hull (monotone chain, collinear points dropped)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0]) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+_COORD = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def polygons_and_planes(draw):
+    hull = _hull(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    poly = [ComplexQuad(RealQuad.from_fraction(x), RealQuad.from_fraction(y)) for x, y in hull]
+    planes = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["free", "vertex", "edge"]))
+        i = draw(st.integers(0, len(hull) - 1))
+        (x0, y0), (x1, y1) = hull[i], hull[(i + 1) % len(hull)]
+        if kind == "edge":  # the line through an edge
+            gx, gy = y0 - y1, x1 - x0
+        else:
+            gx, gy = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda g: g != (0, 0)))
+        c = draw(st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2]))) if kind == "free" else gx * x0 + gy * y0
+        if draw(st.booleans()):
+            gx, gy, c = -gx, -gy, -c
+        planes.append(tuple(RealQuad.from_fraction(Fraction(v)) for v in (gx, gy, c)))
+    return poly, planes
+
+
+class TestSplit:
+    @settings(max_examples=300)
+    @given(case=polygons_and_planes())
+    def test_one_pass_equals_two_clips(self, case):
+        poly, planes = case
+        pieces = [poly]
+        for gx, gy, c in planes:  # the second plane also splits degenerate pieces
+            next_pieces = []
+            for piece in pieces:
+                inside, outside = _split(piece, gx, gy, c)
+                assert inside == _clip_ref(piece, gx, gy, c, keep_ge=True)
+                assert outside == _clip_ref(piece, gx, gy, c, keep_ge=False)
+                for part in (inside, outside):
+                    assert _positive_area(part) == (len(part) >= 3 and _area2_ref(part).sign() > 0)
+                    assert _positive_area(part[::-1]) is False
+                next_pieces += [inside, outside]
+            pieces = next_pieces
+
+    def test_empty_piece(self):
+        one = RealQuad(1)
+        assert _split([], one, one, one) == ([], [])
+
+
+def _knuth_eps(eps):
+    p = load_preset("knuth")
+    return p.sys, OLCertificate(p.cert.region, eps)
+
+
+def _eisenstein_mu_nu(scale, mu, nu):
+    p = load_preset("eisenstein")
+    return p.sys, OLCertificate(p.cert.region.scale(ComplexQuad(scale)), p.cert.epsilon, mu=mu, nu=nu)
+
+
+UNCOVERED = "uncovered point in the fattened region"
+
+
+@pytest.mark.parametrize("make, witness, reason", [
+    (lambda: _knuth_eps(RealQuad(1, 0, 2)), "(37/18)+(29/18)i", UNCOVERED),
+    (lambda: _knuth_eps(RealQuad(1, 0, 9)), "(22/9)+(11/9)i", UNCOVERED),
+    (lambda: _eisenstein_mu_nu(RealQuad(1), RealQuad(1, 0, 4), RealQuad(1, 0, 4)),
+     "None", "budget |beta|*mu + nu exceeds the covering radius"),
+    (lambda: _eisenstein_mu_nu(RealQuad(4, 0, 5), RealQuad(1, 0, 100), RealQuad(1, 0, 100)),
+     "((63+1*sqrt(3))/100)+((-1+19*sqrt(3))/100)i", UNCOVERED),
+], ids=["knuth-eps-1/2", "knuth-eps-1/9", "mu-nu-over-budget", "mu-nu-small-hexagon"])
+def test_failing_verdicts_pinned(make, witness, reason):
+    # verdict, reason and witness as the two-clip covering check found them
+    result = verify_certificate(*make())
+    assert (result.passed, result.reason, str(result.witness)) == (False, reason, witness)
+
+
+@pytest.mark.parametrize("name", ["golden-square", "golden-mean", "knuth", "eisenstein", "base4", "integer:2:-1:1"])
+def test_bundled_verdicts(name):
+    p = load_preset(name)
+    for cert in (p.cert, p.div_cert):
+        result = verify_certificate(p.sys, cert)
+        assert (result.passed, result.reason, result.witness) == (True, "", None)

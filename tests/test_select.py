@@ -470,9 +470,9 @@ class TestIntWindowCeiling:
         # reaching it is m, so m + 1 integer positions; just above, m + 2
         sys_ = load_preset("integer:5:-3:3").sys
         _, floor = preprocess.dmin_search(sys_, (), 8)
-        reach = floor.lo * 5**m - select._frac_reach(sys_)
-        assert int_window_ceiling(sys_, reach, (), 8) == m + 1
-        assert int_window_ceiling(sys_, reach + Fraction(1, 10**30), (), 8) == m + 2
+        reach = floor.lo * 5**m - select.generic_tail_bound(sys_, 0).hi
+        assert int_window_ceiling(sys_, reach, floor) == m + 1
+        assert int_window_ceiling(sys_, reach + Fraction(1, 10**30), floor) == m + 2
 
 
 class TestWindowEncode:
