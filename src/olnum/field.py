@@ -33,6 +33,23 @@ def _check_squarefree(d: int) -> None:
     _SQUAREFREE_OK.add(d)
 
 
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 against b^2 d
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
 Scalar = Union[int, Fraction, "RealQuad"]
 
 
@@ -180,20 +197,7 @@ class RealQuad:
 
     def sign(self) -> int:
         """Exact sign of (a + b*sqrt(d))/q, by integer comparison."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return quad_sign(self.a, self.b, self.d)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .errors import DomainError
 from .field import ComplexQuad, RationalInterval
-from .numeration import DigitString, NumerationSystem
+from .numeration import DigitString, NumerationSystem, memo
 from .online_mul import InvariantViolation, OnlineState, check_containment, operand_stream, run_online
 from .params import ParamSet
 from .region import OLCertificate, select_d_exact
@@ -39,29 +39,30 @@ def _read_divisor(state: OnlineState, d_idx: int) -> None:
     if pos == 1 and d_idx == sys.zero_index:
         raise DomainError("divisor must be preprocessed: first digit nonzero")
     state.d_digits.append(d_idx)
-    state.y_partial = state.y_partial + sys.digit(d_idx) * sys.beta_pow(-pos)
+    state.d_pow = state.d_pow * sys.inv_base
+    state.y_partial = state.y_partial + sys.digit(d_idx) * state.d_pow
     if state.check and state.y_partial.norm_sq() < state.params.d_min.lo ** 2:
         raise InvariantViolation(f"divisor prefix D_{pos} falls below the certified minimum modulus")
 
 
 def div_step(state: OnlineState, n_idx: int, d_idx: int) -> tuple[ComplexQuad, tuple[Window, ...]]:
     """W_k = beta (W_{k-1} - q_{k-1} D_{k+delta-1}) + (n_{k+delta} - Q_{k-1} d_{k+delta}) beta^-delta;
-    N and D advance to position k + delta."""
+    N and D advance to position k + delta, so N's new digit has D's power."""
     sys = state.sys
     delta = state.params.delta
     d_prev = state.y_partial
     _read_divisor(state, d_idx)
-    state.x_partial = state.x_partial + sys.digit(n_idx) * sys.beta_pow(-(state.k + 1 + delta))
+    state.x_partial = state.x_partial + sys.digit(n_idx) * state.d_pow
     w_new = (state.w - state.last_digit() * d_prev) * sys.base + (
         sys.digit(n_idx) - state.out_partial * sys.digit(d_idx)
-    ) * sys.beta_pow(-delta)
+    ) * memo(sys, ("inv_pow", delta), lambda: sys.inv_base ** delta)
     d_window = truncate(sys, DigitString((sys.zero_index,), tuple(state.d_digits)), state.params.window_l)
     return w_new, (d_window,)
 
 
 def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window: Window, d_window: Window) -> None:
     sys, cert = state.sys, state.cert
-    expected = sys.beta_pow(k) * (state.x_partial - state.out_partial * state.y_partial)
+    expected = state.beta_k * (state.x_partial - state.out_partial * state.y_partial)
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (N - Q D)")
     # windowed pipeline vs exact-arithmetic selection at the same truncation

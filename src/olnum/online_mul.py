@@ -22,7 +22,7 @@ from .errors import DomainError, OlnumError
 from .field import ComplexQuad, RationalInterval, RealQuad
 from .numeration import DigitString, NumerationSystem, memo
 from .params import ParamSet
-from .region import OLCertificate, digit_select, in_growth_phase, region_dist_sq
+from .region import OLCertificate, digit_select_exact, in_growth_phase, region_dist_sq
 from .select import Window, select_m, window_encode, window_value
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
@@ -34,7 +34,7 @@ def generic_mult_select(sys: NumerationSystem, cert: OLCertificate, w: Window) -
 
 
 def generic_mult_exact(sys: NumerationSystem, cert: OLCertificate, v: ComplexQuad) -> int:
-    return digit_select(cert, sys, v)
+    return digit_select_exact(cert, sys, v)
 
 
 class InvariantViolation(OlnumError):
@@ -46,7 +46,10 @@ class OnlineState:
     """One on-line run between steps: x_partial and y_partial are the operand
     prefixes read (X_k, Y_k; or N, D to position k + delta), out_partial the
     emitted value (P_k or Q_k).  select_fn also takes the divisor window in
-    division, which alone uses d_digits."""
+    division, which alone uses d_digits and d_pow (beta^-j after j divisor
+    digits).  Each power advances by one multiplication per step: inv_pow is
+    beta^-k, from the start of step k, and beta_k is beta^k, kept for the
+    monitor."""
 
     sys: NumerationSystem
     cert: OLCertificate
@@ -62,6 +65,9 @@ class OnlineState:
     out_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
     emitted: list[int] = field(default_factory=list)
     d_digits: list[int] = field(default_factory=list)
+    inv_pow: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
+    beta_k: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
+    d_pow: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
 
     def last_digit(self) -> ComplexQuad:
         """Value of the digit emitted at the previous step (zero before step 1)."""
@@ -91,15 +97,17 @@ def run_online(
     sys, cert = state.sys, state.cert
     for _ in range(n):
         k = state.k + 1
+        state.inv_pow = state.inv_pow * sys.inv_base
         w, extra = step(state, next(xs), next(ys))
         window = window_encode(sys, cert, w, state.params.window_l)
         if state.max_int_window is not None and window.int_len() > state.max_int_window:
             raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
         digit = state.select_fn(sys, cert, window, *extra)
         if state.check:
+            state.beta_k = state.beta_k * sys.base
             check_step(state, k, w, digit, window, *extra)
         state.k, state.w = k, w
-        state.out_partial = state.out_partial + sys.digit(digit) * sys.beta_pow(-k)
+        state.out_partial = state.out_partial + sys.digit(digit) * state.inv_pow
         state.emitted.append(digit)
         if trace_fn is not None:
             row = {"k": k, "digit": sys.symbol(digit), "w": w, "window": window}
@@ -112,7 +120,7 @@ def run_online(
 def mul_step(state: OnlineState, x_idx: int, y_idx: int) -> tuple[ComplexQuad, tuple[Window, ...]]:
     """W_k = beta (W_{k-1} - p_{k-1}) + x_k Y_{k-1} + y_k X_k; X and Y advance to X_k, Y_k."""
     sys = state.sys
-    bpk = sys.beta_pow(-(state.k + 1))
+    bpk = state.inv_pow
     x_new = state.x_partial + sys.digit(x_idx) * bpk
     w_new = (state.w - state.last_digit()) * sys.base + (
         sys.digit(x_idx) * state.y_partial + sys.digit(y_idx) * x_new
@@ -139,7 +147,7 @@ def check_containment(
 
 def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: Window) -> None:
     sys, cert = state.sys, state.cert
-    expected = sys.beta_pow(k) * (state.x_partial * state.y_partial - state.out_partial)
+    expected = state.beta_k * (state.x_partial * state.y_partial - state.out_partial)
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (X_k Y_k - P_(k-1))")
     # windowed pipeline vs exact-arithmetic selection at the same truncation

@@ -9,6 +9,8 @@ comparisons reduce to integer sign decisions on squared distances.
 Real systems live on the real line (1-D balls are intervals); complex
 systems use 2-D polygons.  The mu/nu variant keeps the region un-eroded and
 selects by nearest digit; its covering is checked at fattening |beta|*mu+nu.
+Runs select on the certificate's tests compiled into integer linear forms
+(CompiledSelector); the ball test they reduce to stays as the monitors' oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
 
-from .errors import CertificateError, DomainError
-from .field import ComplexQuad, RationalInterval, RealQuad
+from .errors import CertificateError, DomainError, FieldMismatchError
+from .field import ComplexQuad, RationalInterval, RealQuad, quad_sign
 from .numeration import NumerationSystem, memo
 
 _RQ0 = RealQuad(0)
@@ -653,10 +655,6 @@ def nearest_qualifying(sys: NumerationSystem, v: ComplexQuad, fits: Callable[[in
     return best
 
 
-def nearest_digit(sys: NumerationSystem, v: ComplexQuad) -> int:
-    return nearest_qualifying(sys, v, None)
-
-
 def nearest_admissible(cert: OLCertificate, sys: NumerationSystem, z: ComplexQuad) -> int | None:
     """The OL Property test shared by both algorithms: the nearest digit a,
     in alphabet order, whose I + a holds the epsilon-ball around z (W in
@@ -676,33 +674,171 @@ def in_growth_phase(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) 
     return (v.re - (sys.base.re * lam - cert.epsilon / 2)).sign() < 0
 
 
-def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
-    """Digit selector realized by the certificate: nearest_admissible on v
-    inside the selection domain.  In the growth phase the digit is 0."""
-    if in_growth_phase(cert, sys, v):
-        return sys.zero_index
+def _domain_check(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> None:
     dist = region_dist_sq(cert.beta_region(sys), v)
     if (dist - memo(cert, "select_sq", lambda: cert.select_fatten() ** 2)).sign() > 0:
         raise DomainError("value outside the digit selection domain")
-    best = nearest_admissible(cert, sys, v)
+
+
+_UNCOVERED = "no digit qualifies: certificate does not cover the selection domain"
+_NO_QUOTIENT_DIGIT = "no digit qualifies for the quotient v/delta"
+
+
+def _qualified(best: int | None, message: str) -> int:
     if best is None:
-        raise CertificateError("no digit qualifies: certificate does not cover the selection domain")
+        raise CertificateError(message)
     return best
+
+
+def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
+    """Digit selector realized by the certificate, on its compiled tests: the
+    digit of digit_select_exact.  In the growth phase the digit is 0."""
+    if in_growth_phase(cert, sys, v):
+        return sys.zero_index
+    sel = compiled_selector(cert, sys)
+    if not sel.inside(v):
+        _domain_check(cert, sys, v)
+    return _qualified(sel.nearest(v), _UNCOVERED)
+
+
+def digit_select_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
+    """The ball-test twin of digit_select, the monitor's oracle:
+    nearest_admissible on v inside the selection domain."""
+    if in_growth_phase(cert, sys, v):
+        return sys.zero_index
+    _domain_check(cert, sys, v)
+    return _qualified(nearest_admissible(cert, sys, v), _UNCOVERED)
 
 
 def digit_select_total(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
-    """Total extension used for table synthesis: nearest_admissible when any
-    digit qualifies, plain nearest otherwise."""
-    best = nearest_admissible(cert, sys, v)
-    return nearest_digit(sys, v) if best is None else best
+    """Total extension used for table synthesis: the nearest admissible digit
+    when any digit qualifies, plain nearest otherwise (compiled tests)."""
+    sel = compiled_selector(cert, sys)
+    best = sel.nearest(v)
+    return sel.nearest(v, admissible=False) if best is None else best
+
+
+def quotient_digit(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
+    """select_d_exact's digit on the compiled tests; delta is nonzero."""
+    return _qualified(compiled_selector(cert, sys).nearest(v / delta), _NO_QUOTIENT_DIGIT)
 
 
 def select_d_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
-    """Exact quotient-digit selection: nearest_admissible on u = v/delta.
-    Division has no growth phase, and select_d checks its own domain."""
+    """Exact quotient-digit selection, the monitor's oracle:
+    nearest_admissible on u = v/delta.  Division has no growth phase, and
+    select_d checks its own domain."""
     if delta.is_zero():
         raise DomainError("divisor value is zero")
-    best = nearest_admissible(cert, sys, v / delta)
-    if best is None:
-        raise CertificateError("no digit qualifies for the quotient v/delta")
-    return best
+    return _qualified(nearest_admissible(cert, sys, v / delta), _NO_QUOTIENT_DIGIT)
+
+
+# -- compiled selection -----------------------------------------------------------
+
+
+def _sides(region: ConvexPolygon) -> list[tuple[RealQuad, RealQuad, RealQuad, RealQuad | None]]:
+    """(gx, gy, c, e) per side of the region, interior gx*x + gy*y >= c, where
+    an eps-ball fits inside the side at c + eps*e (e = |g|; None where |g|
+    leaves the field).  An interval's sides are its two ends and the real
+    axis, across which a 1-D ball needs no room (e = 0)."""
+    if region.is_interval:
+        lo, hi = region.interval_bounds()
+        one = RealQuad(1)
+        return [(one, _RQ0, lo, one), (-one, _RQ0, -hi, one), (_RQ0, one, _RQ0, _RQ0), (_RQ0, -one, _RQ0, _RQ0)]
+    return [(gx, gy, c, e) for (gx, gy, c, _), e in zip(region.halfplanes(), region.edge_norms())]
+
+
+def _form(gx: RealQuad, gy: RealQuad, c: RealQuad, d: int) -> tuple[int, ...]:
+    """gx*x + gy*y - c times the positive integer gx.q*gy.q*c.q, as integer
+    coefficients: rational and sqrt(d) parts of x, y and 1 (see _form_sign)."""
+    fx, fy, fc = gy.q * c.q, gx.q * c.q, gx.q * gy.q
+    return (gx.a * fx, gx.b * fx * d, gx.b * fx, gy.a * fy, gy.b * fy * d, gy.b * fy, c.a * fc, c.b * fc)
+
+
+def _form_sign(t: tuple[int, ...], p: tuple[int, ...], d: int) -> int:
+    """Sign of the form t (from _form) at the point p (from
+    CompiledSelector._point): one A + B*sqrt(d), by RealQuad's sign rule."""
+    xa, xb, ya, yb, q = p
+    gxa, gxbd, gxb, gya, gybd, gyb, ca, cb = t
+    return quad_sign(gxa * xa + gxbd * xb + gya * ya + gybd * yb - ca * q,
+                     gxa * xb + gxb * xa + gya * yb + gyb * ya - cb * q, d)
+
+
+@dataclass(frozen=True)
+class CompiledSelector:
+    """A certificate's digit selection for one system as integer linear
+    tests, built once (compiled_selector): whether v lies in beta*I, whether
+    the eps-ball around v fits in I + a (eroded sides; a side whose |g| leaves
+    the field keeps the squared test), and which of two digits lies nearer v,
+    |v - a|^2 - |v - b|^2 = 2 Re(v conj(b - a)) - |b|^2 + |a|^2.  It decides
+    what digit_select_exact and nearest_admissible decide, without building
+    a RealQuad (but on a squared side)."""
+
+    d: int
+    domain: tuple  # forms of beta*I's sides
+    fits: tuple | None  # per digit, forms of the eroded I + a; None on mu/nu (every digit)
+    squared: tuple  # per digit, (gx, gy, c, eps^2 |g|^2) of the sides with |g| outside the field
+    nearer: tuple  # nearer[i][j] > 0: digit j lies strictly nearer v than digit i
+
+    def _point(self, v: ComplexQuad) -> tuple[tuple[int, ...], int]:
+        """v = (x, y) over the positive denominator x.q*y.q, as
+        (x.a, x.b, y.a, y.b, q), and the field descriptor of the tests."""
+        x, y = v.re, v.im
+        vd = x.d or y.d
+        if vd and self.d and vd != self.d:
+            raise FieldMismatchError(f"mismatched field descriptors: sqrt({vd}) vs sqrt({self.d})")
+        return (x.a * y.q, x.b * y.q, y.a * x.q, y.b * x.q, x.q * y.q), self.d or vd
+
+    def inside(self, v: ComplexQuad) -> bool:
+        """v lies in beta*I."""
+        p, d = self._point(v)
+        return all(_form_sign(t, p, d) >= 0 for t in self.domain)
+
+    def nearest(self, v: ComplexQuad, admissible: bool = True) -> int | None:
+        """nearest_admissible(v), or the nearest digit when not admissible;
+        ties go to the earlier digit in alphabet order."""
+        p, d = self._point(v)
+        best = None
+        for i in range(len(self.nearer)):
+            if admissible and self.fits is not None and not self._fits(i, v, p, d):
+                continue
+            if best is None or _form_sign(self.nearer[best][i], p, d) > 0:
+                best = i
+        return best
+
+    def _fits(self, i: int, v: ComplexQuad, p: tuple[int, ...], d: int) -> bool:
+        for t in self.fits[i]:
+            if _form_sign(t, p, d) < 0:
+                return False
+        for gx, gy, c, bound in self.squared[i]:
+            margin = gx * v.re + gy * v.im - c
+            if (margin * margin - bound).sign() < 0:
+                return False
+        return True
+
+
+def compiled_selector(cert: OLCertificate, sys: NumerationSystem) -> CompiledSelector:
+    """The certificate's CompiledSelector for sys, built on first use."""
+    return memo(cert, ("compiled", sys), lambda: _compile(cert, sys))
+
+
+def _compile(cert: OLCertificate, sys: NumerationSystem) -> CompiledSelector:
+    region, eps = cert.region, cert.epsilon
+    d = sys.ambient_d or region.ambient_d or eps.d
+    fits, squared = [], []
+    for a in () if cert.selects_nearest else sys.alphabet:
+        forms, sq = [], []
+        for gx, gy, c, e in _sides(region):
+            c_a = c + gx * a.re + gy * a.im
+            if e is None:  # inside the side, then the squared margin
+                forms.append(_form(gx, gy, c_a, d))
+                sq.append((gx, gy, c_a, eps * eps * (gx * gx + gy * gy)))
+            else:
+                forms.append(_form(gx, gy, c_a + eps * e, d))
+        fits.append(tuple(forms))
+        squared.append(tuple(sq))
+    nearer = tuple(
+        tuple(_form((b - a).re * 2, (b - a).im * 2, b.norm_sq() - a.norm_sq(), d) for b in sys.alphabet)
+        for a in sys.alphabet
+    )
+    domain = tuple(_form(gx, gy, c, d) for gx, gy, c, _ in _sides(cert.beta_region(sys)))
+    return CompiledSelector(d, domain, None if cert.selects_nearest else tuple(fits), tuple(squared), nearer)

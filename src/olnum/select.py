@@ -3,12 +3,14 @@
 A window keeps the full integer part of an auxiliary value plus its first L
 fractional digits, together with a certified bound on the discarded tail.
 Selection checks the tail bound, evaluates the window exactly and applies
-the certificate's digit selector: ``region.digit_select`` on W for
-multiplication, ``region.select_d_exact`` on W/D for division; both run
-the one admissibility test ``region.nearest_admissible``.  The golden-square
-rules (lexicographic and sign tests on the digits) are provided alongside,
-plus the integer-window bound and lookup-table synthesis over the finitely
-many windows that fit a bounded domain.
+the certificate's compiled selector (``region.CompiledSelector``):
+``region.digit_select`` on W for multiplication, ``region.quotient_digit`` on
+W/D for division.  Their ball-test twins, ``digit_select_exact`` and
+``select_d_exact`` over ``region.nearest_admissible``, are the monitors'
+oracle.  The golden-square rules (lexicographic and sign tests on the
+digits) are provided alongside, plus the integer-window bound and
+lookup-table synthesis over the finitely many windows that fit a bounded
+domain.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .region import (
     OLCertificate,
     digit_select,
     digit_select_total,
+    quotient_digit,
     region_dist_sq,
-    select_d_exact,
 )
 
 _IV_PREC = Fraction(1, 10**9)
@@ -133,7 +135,7 @@ def select_d(
         raise DomainError("divisor window evaluates to zero")
     if (delta.norm_sq() - memo(cert, ("d_min_sq", d_min.lo), lambda: RealQuad.from_fraction(d_min.lo ** 2))).sign() < 0:
         raise DomainError("divisor window below the certified minimum modulus")
-    return select_d_exact(cert, sys, v, delta)
+    return quotient_digit(cert, sys, v, delta)
 
 
 # -- specialized selection rules ---------------------------------------------------

@@ -15,6 +15,8 @@ from olnum.online_mul import InvariantViolation, OnlineState, mul_run, mul_step,
 from olnum.online_mul import _check_step as mul_check
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import PRESET_NAMES, load_preset
+from olnum.region import region_contains
+from olnum.select import window_value
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +367,66 @@ class TestNonNegativeAlphabet:
         assert nonneg.cert.right_of_zero and not signed.cert.right_of_zero
         with pytest.raises(ValueError):
             replace(nonneg, mult_exact=lambda sys_, cert, v: sys_.zero_index)
+
+
+def _operands(preset, rng, n):
+    """Seeded multiplication operands and a preprocessed divisor for n steps."""
+    sys_ = preset.sys
+    na, zero = len(sys_.alphabet), sys_.zero_index
+    m = n - preset.mult_params.delta
+    xs, ys = ([rng.randrange(na) for _ in range(m)] for _ in range(2))
+    raw = [rng.choice([i for i in range(na) if i != zero])] + [rng.randrange(na) for _ in range(n - 1)]
+    den, _ = preprocess_divisor(preset.preprocess, sys_, DigitString((zero,), tuple(raw)))
+    return xs, ys, [rng.randrange(na) for _ in range(n)], list(den.frac_digits)
+
+
+@pytest.mark.parametrize("name", ["golden-square", "knuth", "eisenstein"])
+def test_runs_leave_no_powers_on_the_system(name):
+    # the run carries beta^-k, beta^k and the divisor's power itself; the
+    # system keeps only the powers it starts with (beta^0, beta, 1/beta)
+    preset = load_preset.__wrapped__(name)
+    xs, ys, ns, ds = _operands(preset, random.Random(19), 160)
+    preset.mul(xs, ys, 160)
+    preset.div(ns, ds, 160)
+    assert len(preset.sys._pow_cache) <= 3
+
+
+class TestMonitorCatchesWrongDigit:
+    """A windowed selector that returns another digit at one step, one whose
+    I + a still holds the value (so the remainder stays inside I), is caught
+    by the windowed-vs-exact check on a generic preset."""
+
+    @staticmethod
+    def _wrong_once(select, other_of):
+        fired = []
+
+        def wrong(sys_, cert, *windows):
+            digit = select(sys_, cert, *windows)
+            other = None if fired else other_of(sys_, cert, digit, *windows)
+            if other is None:
+                return digit
+            fired.append(other)
+            return other
+        return wrong, fired
+
+    @staticmethod
+    def _other_admissible(sys_, cert, digit, z):
+        return next((i for i in range(len(sys_.alphabet))
+                     if i != digit and region_contains(cert.region, z - sys_.digit(i))), None)
+
+    def test_mul(self, knuth):
+        xs, ys, _, _ = _operands(knuth, random.Random(5), 40)
+        wrong, fired = self._wrong_once(
+            knuth.mult_select, lambda s, c, digit, w: self._other_admissible(s, c, digit, window_value(s, w)))
+        with pytest.raises(InvariantViolation, match="differs from exact selection"):
+            replace(knuth, mult_select=wrong).mul(xs, ys, 40)
+        assert len(fired) == 1
+
+    def test_div(self, knuth):
+        _, _, ns, ds = _operands(knuth, random.Random(6), 40)
+        wrong, fired = self._wrong_once(
+            knuth.div_select,
+            lambda s, c, digit, w, d: self._other_admissible(s, c, digit, window_value(s, w) / window_value(s, d)))
+        with pytest.raises(InvariantViolation, match="differs from exact selection"):
+            replace(knuth, div_select=wrong).div(ns, ds, 40)
+        assert len(fired) == 1

@@ -17,7 +17,6 @@ from olnum.region import (
     fattened_domain,
     in_growth_phase,
     nearest_admissible,
-    nearest_digit,
     nearest_qualifying,
     real_interval_certificate,
     select_d_exact,
@@ -382,12 +381,12 @@ class TestEisensteinDigit:
     def test_nearest(self, eisenstein):
         sys_ = eisenstein.sys
         w = _win(sys_, "0 . 1", 7)  # value 1/beta
-        idx = nearest_digit(sys_, window_value(sys_, w))
+        idx = nearest_qualifying(sys_, window_value(sys_, w), None)
         assert idx == digit_select(eisenstein.cert, sys_, window_value(sys_, w))
 
     def test_three_fifths(self, eisenstein):
         sys_ = eisenstein.sys
-        assert sys_.symbol(nearest_digit(sys_, ComplexQuad(RealQuad(3, 0, 5)))) == "1"
+        assert sys_.symbol(nearest_qualifying(sys_, ComplexQuad(RealQuad(3, 0, 5)), None)) == "1"
 
 
 class TestTableSynthesis:
