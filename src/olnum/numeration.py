@@ -233,13 +233,12 @@ def format_digits(sys: NumerationSystem, ds: DigitString) -> str:
     return " ".join(tokens)
 
 
-def eval_digits(sys: NumerationSystem, ds: DigitString, upto: int | None = None) -> ComplexQuad:
+def eval_digits(sys: NumerationSystem, ds: DigitString) -> ComplexQuad:
     acc = ComplexQuad.zero()
     for idx in ds.int_digits:
         acc = acc * sys.base + sys.digit(idx)
-    frac = ds.frac_digits if upto is None else ds.frac_digits[:upto]
     facc = ComplexQuad.zero()
-    for idx in reversed(frac):
+    for idx in reversed(ds.frac_digits):
         facc = (facc + sys.digit(idx)) * sys.inv_base
     return acc + facc
 

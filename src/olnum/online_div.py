@@ -5,12 +5,14 @@ The divisor must be preprocessed (first digit nonzero, every prefix modulus
 at or above the certified minimum); the numerator lookahead of delta digits
 is handled by the run, so callers feed plain aligned streams.  Before step 1
 the run reads the first delta divisor digits; step k then reads numerator
-digit k and divisor digit k + delta.
+digit k and divisor digit k + delta.  The divisor window, D's first L digits,
+lives on the run state and changes only while they arrive (and once more when
+the first nonzero digit beyond them does).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -20,7 +22,7 @@ from .numeration import DigitString, NumerationSystem, memo
 from .online_mul import InvariantViolation, OnlineState, check_containment, operand_stream, run_online
 from .params import ParamSet
 from .region import OLCertificate, select_d_exact
-from .select import Window, select_d, truncate, window_value
+from .select import Window, generic_tail_bound, select_d
 
 DivSelectFn = Callable[[NumerationSystem, OLCertificate, Window, Window], int]
 
@@ -32,15 +34,20 @@ def make_generic_div_select(alpha: Fraction, d_min: RationalInterval) -> DivSele
 
 
 def _read_divisor(state: OnlineState, d_idx: int) -> None:
-    """Append the next divisor digit to D; the first must be nonzero and,
-    when monitoring, every prefix stays at or above the certified minimum."""
-    sys = state.sys
+    """Append the next divisor digit to D and its window; the first must be
+    nonzero and, when monitoring, every prefix stays at or above d_min."""
+    sys, L = state.sys, state.params.window_l
     pos = len(state.d_digits) + 1
     if pos == 1 and d_idx == sys.zero_index:
         raise DomainError("divisor must be preprocessed: first digit nonzero")
     state.d_digits.append(d_idx)
     state.d_pow = state.d_pow * sys.inv_base
     state.y_partial = state.y_partial + sys.digit(d_idx) * state.d_pow
+    if pos <= L:
+        state.d_window = Window(DigitString((sys.zero_index,), tuple(state.d_digits)), L,
+                                RationalInterval.point(0), state.y_partial)
+    elif d_idx != sys.zero_index and not state.d_window.tail_bound.hi:
+        state.d_window = replace(state.d_window, tail_bound=generic_tail_bound(sys, L))
     if state.check and state.y_partial.norm_sq() < state.params.d_min.lo ** 2:
         raise InvariantViolation(f"divisor prefix D_{pos} falls below the certified minimum modulus")
 
@@ -56,8 +63,7 @@ def div_step(state: OnlineState, n_idx: int, d_idx: int) -> tuple[ComplexQuad, t
     w_new = (state.w - state.last_digit() * d_prev) * sys.base + (
         sys.digit(n_idx) - state.out_partial * sys.digit(d_idx)
     ) * memo(sys, ("inv_pow", delta), lambda: sys.inv_base ** delta)
-    d_window = truncate(sys, DigitString((sys.zero_index,), tuple(state.d_digits)), state.params.window_l)
-    return w_new, (d_window,)
+    return w_new, (state.d_window,)
 
 
 def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window: Window, d_window: Window) -> None:
@@ -66,9 +72,7 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (N - Q D)")
     # windowed pipeline vs exact-arithmetic selection at the same truncation
-    v = window_value(sys, w_window)
-    delta = window_value(sys, d_window)
-    exact = select_d_exact(cert, sys, v, delta)
+    exact = select_d_exact(cert, sys, w_window.value, d_window.value)
     if exact != q:
         raise InvariantViolation(f"step {k}: windowed selection {q} differs from exact selection {exact}")
     check_containment(state, k, w_new / state.y_partial, q, cert.div_fatten(sys), cert.div_slack, "W/D")
@@ -108,6 +112,8 @@ def div_run(
     state = OnlineState(sys, cert, params, select_fn=select_fn, check=check, max_int_window=max_int_window)
     ns = operand_stream(sys, ns, extra_shift)
     ds = operand_stream(sys, ds, 0)
+    state.d_window = Window(DigitString((sys.zero_index,), ()), params.window_l,
+                            RationalInterval.point(0), ComplexQuad.zero())
     for _ in range(params.delta):
         _read_divisor(state, next(ds))
     digits = run_online(state, div_step, _check_step, ns, ds, n, trace_fn)

@@ -6,9 +6,10 @@ They differ only in the recurrence that advances W (``mul_step`` here,
 ``div_step`` in online_div).  Step k pulls one digit of each operand stream
 when it reads it, not before.  With monitoring enabled every step asserts,
 in exact arithmetic, the defining identity of W (for multiplication
-W_k = beta^k (X_k Y_k - P_{k-1})), its containment in the fattened beta*I
-and the agreement of windowed and exact selection.  The boundedness of the
-consulted window is enforced with monitoring on or off.
+W_k = beta^k (X_k Y_k - P_{k-1})), that the window's digits denote the value
+selection used, W's containment in the fattened beta*I and the agreement of
+windowed and exact selection.  The boundedness of the consulted window is
+enforced with monitoring on or off.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, OlnumError
 from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem, memo
+from .numeration import DigitString, NumerationSystem, eval_digits, memo
 from .params import ParamSet
 from .region import OLCertificate, digit_select_exact, in_growth_phase, region_dist_sq
-from .select import Window, select_m, window_encode, window_value
+from .select import Window, select_m, window_encode
 
 SelectFn = Callable[[NumerationSystem, OLCertificate, Window], int]
 ExactFn = Callable[[NumerationSystem, OLCertificate, ComplexQuad], int]
@@ -46,10 +47,10 @@ class OnlineState:
     """One on-line run between steps: x_partial and y_partial are the operand
     prefixes read (X_k, Y_k; or N, D to position k + delta), out_partial the
     emitted value (P_k or Q_k).  select_fn also takes the divisor window in
-    division, which alone uses d_digits and d_pow (beta^-j after j divisor
-    digits).  Each power advances by one multiplication per step: inv_pow is
-    beta^-k, from the start of step k, and beta_k is beta^k, kept for the
-    monitor."""
+    division, which alone uses d_digits, d_window (D's L-digit window) and
+    d_pow (beta^-j after j divisor digits).  Each power advances by one
+    multiplication per step: inv_pow is beta^-k, from the start of step k,
+    and beta_k is beta^k, kept for the monitor."""
 
     sys: NumerationSystem
     cert: OLCertificate
@@ -65,6 +66,7 @@ class OnlineState:
     out_partial: ComplexQuad = field(default_factory=ComplexQuad.zero)
     emitted: list[int] = field(default_factory=list)
     d_digits: list[int] = field(default_factory=list)
+    d_window: Window | None = None
     inv_pow: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
     beta_k: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
     d_pow: ComplexQuad = field(default_factory=lambda: ComplexQuad.from_int(1))
@@ -95,6 +97,8 @@ def run_online(
     lets the recurrence compute W_k (and any extra selection windows), then
     encodes, bounds and selects on the window, monitors and emits."""
     sys, cert = state.sys, state.cert
+    if n < 0:
+        raise DomainError("digit count must be non-negative")
     for _ in range(n):
         k = state.k + 1
         state.inv_pow = state.inv_pow * sys.inv_base
@@ -104,6 +108,8 @@ def run_online(
             raise InvariantViolation(f"step {k}: window integer part exceeds the preset bound")
         digit = state.select_fn(sys, cert, window, *extra)
         if state.check:
+            if eval_digits(sys, window.digits) != window.value:
+                raise InvariantViolation(f"step {k}: window digits disagree with the value selected on")
             state.beta_k = state.beta_k * sys.base
             check_step(state, k, w, digit, window, *extra)
         state.k, state.w = k, w
@@ -151,7 +157,7 @@ def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, p: int, window: 
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (X_k Y_k - P_(k-1))")
     # windowed pipeline vs exact-arithmetic selection at the same truncation
-    exact = state.exact_fn(sys, cert, window_value(sys, window))
+    exact = state.exact_fn(sys, cert, window.value)
     if exact != p:
         raise InvariantViolation(f"step {k}: windowed selection {p} differs from exact selection {exact}")
     # until W grows into the selection domain the digit is 0 and the

@@ -1,8 +1,9 @@
 """Windowed digit selection.
 
 A window keeps the full integer part of an auxiliary value plus its first L
-fractional digits, together with a certified bound on the discarded tail.
-Selection checks the tail bound, evaluates the window exactly and applies
+fractional digits, together with a certified bound on the discarded tail and
+the exact value of the kept digits, set where the window is built; nothing
+decodes a window for selection.  Selection checks the tail bound and applies
 the certificate's compiled selector (``region.CompiledSelector``):
 ``region.digit_select`` on W for multiplication, ``region.quotient_digit`` on
 W/D for division.  Their ball-test twins, ``digit_select_exact`` and
@@ -40,6 +41,7 @@ class Window:
     digits: DigitString
     L: int
     tail_bound: RationalInterval
+    value: ComplexQuad  # exact value of digits
 
     def int_len(self) -> int:
         return len(self.digits.int_digits)
@@ -57,25 +59,22 @@ def generic_tail_bound(sys: NumerationSystem, L: int) -> RationalInterval:
 def truncate(sys: NumerationSystem, ds: DigitString, L: int) -> Window:
     if L < 0:
         raise DomainError("window length must be non-negative")
-    kept = ds.frac_digits[:L]
+    kept = DigitString(ds.int_digits, ds.frac_digits[:L])
     dropped = ds.frac_digits[L:]
     if all(i == sys.zero_index for i in dropped):
         tail = RationalInterval.point(0)
     else:
         tail = generic_tail_bound(sys, L)
-    return Window(DigitString(ds.int_digits, kept), L, tail)
+    return Window(kept, L, tail, eval_digits(sys, kept))
 
 
 def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad, L: int) -> Window:
     """Exact digit window of a field value: scale into the region, emit the
     integer part plus L fractional digits via the certificate selector.  The
-    tail is the exact residual, bounded by K * |beta|^-L."""
+    tail is the exact residual r, bounded by K * |beta|^-L; the window's value
+    is value - r * beta^-L (0 when value lies below beta^-L's position)."""
     if value.is_zero():
-        return Window(
-            DigitString.make(sys, [sys.zero_index], [sys.zero_index] * L),
-            L,
-            RationalInterval.point(0),
-        )
+        return Window(DigitString.make(sys, [sys.zero_index], [sys.zero_index] * L), L, RationalInterval.point(0), value)
     reduced = scale_into_region(sys, cert, value, sys.inv_base)
     if reduced is not None:
         r, shift = reduced
@@ -86,22 +85,16 @@ def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad
         if reduced is None:
             raise DomainError("value not reducible into the certificate region")
         r, shift = reduced[0], -reduced[1]
-    digits, r = greedy_digits(sys, cert, r, shift + L if shift >= 0 else max(L + shift, 0))
+    digits, r = greedy_digits(sys, cert, r, max(shift + L, 0))
+    e = max(L, -shift)  # value = beta^shift * 0.digits + r * beta^-e
+    exact = value - r * memo(sys, ("inv_pow", e), lambda: sys.inv_base ** e)
     if r.is_zero():
         tail = RationalInterval.point(0)
     else:
         tail = memo(cert, ("tail", sys, L), lambda: cert.k_bound / sys.abs_beta(_IV_PREC).pow_int(L))
-    if shift >= 0:
-        int_part = digits[:shift] if shift else [sys.zero_index]
-        frac_part = digits[shift:]
-    else:
-        int_part = [sys.zero_index]
-        frac_part = [sys.zero_index] * (-shift) + digits
-    return Window(DigitString.make(sys, int_part, frac_part), L, tail)
-
-
-def window_value(sys: NumerationSystem, w: Window) -> ComplexQuad:
-    return eval_digits(sys, w.digits)
+    lead = max(shift, 0)  # integer positions; a negative shift pads zeros after the point
+    ds = DigitString.make(sys, digits[:lead] or [sys.zero_index], [sys.zero_index] * (lead - shift) + digits[lead:])
+    return Window(ds, L, tail, exact)
 
 
 def _tail_below(tail: RationalInterval, radius: RealQuad) -> bool:
@@ -115,7 +108,7 @@ def select_m(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     radius = cert.trunc_radius()
     if not _tail_below(w.tail_bound, radius):
         raise DomainError("window tail bound too large for the truncation radius")
-    return digit_select(cert, sys, window_value(sys, w))
+    return digit_select(cert, sys, w.value)
 
 
 def select_d(
@@ -129,8 +122,7 @@ def select_d(
     alpha_rq = memo(cert, ("alpha", alpha), lambda: RealQuad.from_fraction(alpha))
     if not _tail_below(w.tail_bound, alpha_rq) or not _tail_below(d.tail_bound, alpha_rq):
         raise DomainError("window tail bound too large for alpha")
-    v = window_value(sys, w)
-    delta = window_value(sys, d)
+    v, delta = w.value, d.value
     if delta.is_zero():
         raise DomainError("divisor window evaluates to zero")
     if (delta.norm_sq() - memo(cert, ("d_min_sq", d_min.lo), lambda: RealQuad.from_fraction(d_min.lo ** 2))).sign() < 0:
@@ -181,8 +173,7 @@ def golden_d_rule(sys: NumerationSystem, v: Window, d: Window) -> int:
     significant nonzero digit (the classical form assumes d_1 = 1)."""
     if v.L < 9 or d.L < 9:
         raise DomainError("the division sign rule needs nine fractional digits")
-    vv = window_value(sys, v)
-    dd = window_value(sys, d)
+    vv, dd = v.value, d.value
     if not (vv.is_real() and dd.is_real()):
         raise DomainError("the division sign rule is for the real system")
     d_sign = _leading_sign(sys, d)

@@ -33,12 +33,10 @@ from olnum.region import (
     verify_certificate,
 )
 from olnum.select import (
-    Window,
     golden_d_rule,
     golden_m_rule,
     synthesize_table,
     truncate,
-    window_value,
 )
 
 RUNS = 100
@@ -311,7 +309,7 @@ def test_criterion7_golden_table():
     ok = len(table.entries) == 243 and table.window_shape == (2, 3)
     for key, digit in table.entries.items():
         ds = DigitString(tuple(key[:2]), tuple(key[2:]))
-        w = Window(ds, 3, truncate(sys_, ds, 3).tail_bound)
+        w = truncate(sys_, ds, 3)
         if golden_m_rule(sys_, w) != digit:
             ok = False
             break
@@ -333,13 +331,13 @@ def test_criterion7_golden_division_rule_agreement():
         tries += 1
         d_digits = [sys_.index_of_symbol(rng.choice(["1", "-1"]))] + [rng.randrange(3) for _ in range(8)]
         d_ds = DigitString((sys_.zero_index,), tuple(d_digits))
-        d_win = Window(d_ds, 9, truncate(sys_, d_ds, 9).tail_bound)
-        delta = window_value(sys_, d_win)
+        d_win = truncate(sys_, d_ds, 9)
+        delta = d_win.value
         if (delta.norm_sq() - lo_sq).sign() < 0:
             continue
         u_ds = DigitString((rng.randrange(3),), tuple(rng.randrange(3) for _ in range(9)))
-        w_win = Window(u_ds, 9, truncate(sys_, u_ds, 9).tail_bound)
-        v = window_value(sys_, w_win)
+        w_win = truncate(sys_, u_ds, 9)
+        v = w_win.value
         if (region_dist_sq(cert.beta_region(sys_), v / delta) - fat * fat).sign() > 0:
             continue
         if golden_d_rule(sys_, w_win, d_win) != select_d_exact(cert, sys_, v, delta):

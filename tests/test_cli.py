@@ -80,6 +80,15 @@ def test_int_window_bound_enforced(capsys, monkeypatch, golden_streams, kind, fl
     assert "window integer part exceeds the preset bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["mul", "div"])
+def test_negative_digit_count_refused(capsys, golden_streams, kind):
+    a, b = golden_streams
+    assert main([kind, "--preset", "golden-square", "--digits", "-1", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "digit count must be non-negative" in captured.err
+
+
 def test_div_rejects_zero_valued_divisor(capsys, tmp_path):
     # golden mean: 0.1(-1)(-1) = beta^-1 - beta^-2 - beta^-3 = 0 with a
     # nonzero first digit, so only the whole divisor shows it

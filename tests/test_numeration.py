@@ -137,11 +137,6 @@ class TestEvalDigits:
             rhs = eval_digits(sys_, first) + sys_.beta_pow(-len(a)) * eval_digits(sys_, second)
             assert (lhs - rhs).is_zero()
 
-    def test_upto(self, golden_square):
-        sys_ = golden_square.sys
-        ds = parse_digits(sys_, "0 . 1 1 1 1")
-        assert eval_digits(sys_, ds, upto=2) == eval_digits(sys_, parse_digits(sys_, "0 . 1 1"))
-
 
 class TestEncodeValue:
     def test_zero(self, golden_square):

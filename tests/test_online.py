@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from functools import cmp_to_key
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from olnum import numeration, online_mul
 from olnum.errors import DomainError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import DigitString, eval_digits
@@ -16,7 +18,7 @@ from olnum.online_mul import _check_step as mul_check
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import PRESET_NAMES, load_preset
 from olnum.region import region_contains
-from olnum.select import window_value
+from olnum.select import truncate
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +419,7 @@ class TestMonitorCatchesWrongDigit:
     def test_mul(self, knuth):
         xs, ys, _, _ = _operands(knuth, random.Random(5), 40)
         wrong, fired = self._wrong_once(
-            knuth.mult_select, lambda s, c, digit, w: self._other_admissible(s, c, digit, window_value(s, w)))
+            knuth.mult_select, lambda s, c, digit, w: self._other_admissible(s, c, digit, w.value))
         with pytest.raises(InvariantViolation, match="differs from exact selection"):
             replace(knuth, mult_select=wrong).mul(xs, ys, 40)
         assert len(fired) == 1
@@ -426,7 +428,111 @@ class TestMonitorCatchesWrongDigit:
         _, _, ns, ds = _operands(knuth, random.Random(6), 40)
         wrong, fired = self._wrong_once(
             knuth.div_select,
-            lambda s, c, digit, w, d: self._other_admissible(s, c, digit, window_value(s, w) / window_value(s, d)))
+            lambda s, c, digit, w, d: self._other_admissible(s, c, digit, w.value / d.value))
         with pytest.raises(InvariantViolation, match="differs from exact selection"):
             replace(knuth, div_select=wrong).div(ns, ds, 40)
         assert len(fired) == 1
+
+
+def test_negative_digit_count_refused_before_reading(knuth):
+    pulled = []
+
+    def source():
+        while True:
+            pulled.append(1)
+            yield knuth.sys.zero_index
+    with pytest.raises(DomainError, match="digit count must be non-negative"):
+        knuth.mul(source(), source(), -1)
+    assert pulled == []
+
+
+class TestDivisorWindow:
+    """The divisor window kept on the run state is, at every step, the window
+    truncate builds from the divisor digits read so far (D_(k+delta))."""
+
+    @staticmethod
+    def _rows_match_truncate(preset, ns, ds, n):
+        sys_, delta, L = preset.sys, preset.div_params.delta, preset.div_params.window_l
+        rows = []
+        preset.div(ns, ds, n, trace_fn=rows.append)
+        for row in rows:
+            read = DigitString((sys_.zero_index,), tuple(ds[:row["k"] + delta]))
+            assert row["d_window"] == truncate(sys_, read, L)
+        return rows
+
+    @pytest.mark.parametrize("name", ["knuth", "golden-square"])
+    def test_matches_truncate(self, name):
+        preset = load_preset(name)
+        _, _, ns, ds = _operands(preset, random.Random(7), 40)
+        self._rows_match_truncate(preset, ns, ds, 40)
+
+    def test_tail_flip(self, golden):
+        # digits L+1..L+5 (10..14) are zero and digit 15 is not: the window's
+        # digits stop changing at D_9, its tail bound leaves 0 at D_15 (step 9)
+        sys_, rng = golden.sys, random.Random(8)
+        one, zero = sys_.index_of_symbol("1"), sys_.zero_index
+        ds = [one] + [rng.randrange(3) for _ in range(8)] + [zero] * 5 + [one] + [rng.randrange(3) for _ in range(30)]
+        rows = self._rows_match_truncate(golden, [rng.randrange(3) for _ in range(40)], ds, 40)
+        assert [row["d_window"].tail_bound.hi > 0 for row in rows[6:9]] == [False, False, True]
+
+
+def _count_eval_digits(monkeypatch):
+    """Wrap eval_digits in every olnum module that holds it, where a run looks
+    it up; returns a one-element list holding the call count."""
+    calls = [0]
+    original = numeration.eval_digits
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("olnum") and getattr(module, "eval_digits", None) is original:
+            monkeypatch.setattr(module, "eval_digits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check, bound", [(False, 0), (True, 1)])
+@pytest.mark.parametrize("kind", ["mul", "div"])
+def test_windows_are_decoded_only_by_the_monitor(knuth, monkeypatch, kind, check, bound):
+    # selection reads each window's value; with monitoring on, one decode per
+    # step checks the W window's digits against it (step 1 also counts the
+    # divisor digits read before it)
+    xs, ys, ns, ds = _operands(knuth, random.Random(8), 40)
+    calls = _count_eval_digits(monkeypatch)
+    per_step = []
+
+    def trace(row):
+        per_step.append(calls[0] - sum(per_step))
+    if kind == "mul":
+        knuth.mul(xs, ys, 40, check=check, trace_fn=trace)
+    else:
+        knuth.div(ns, ds, 40, check=check, trace_fn=trace)
+    assert len(per_step) == 40 and max(per_step) <= bound
+
+
+@pytest.mark.parametrize("kind", ["mul", "div"])
+def test_monitor_catches_window_digits_off_their_value(knuth, monkeypatch, kind):
+    # the encoder's 20th window gets another first fractional digit but keeps
+    # its value: selection (on the value) is unchanged, the monitor's decode is not
+    xs, ys, ns, ds = _operands(knuth, random.Random(9), 40)
+    run = (lambda **kw: knuth.mul(xs, ys, 40, **kw)) if kind == "mul" else (lambda **kw: knuth.div(ns, ds, 40, **kw))
+    clean = run(check=False)
+    encode = online_mul.window_encode
+
+    def tampered():
+        calls = []
+
+        def fn(sys_, cert, value, L):
+            w = encode(sys_, cert, value, L)
+            calls.append(1)
+            if len(calls) != 20:
+                return w
+            frac = list(w.digits.frac_digits)
+            frac[0] = (frac[0] + 1) % len(sys_.alphabet)
+            return replace(w, digits=DigitString(w.digits.int_digits, tuple(frac)))
+        return fn
+    monkeypatch.setattr(online_mul, "window_encode", tampered())
+    assert run(check=False) == clean
+    monkeypatch.setattr(online_mul, "window_encode", tampered())
+    with pytest.raises(InvariantViolation, match="step 20: window digits disagree"):
+        run()

@@ -22,7 +22,6 @@ from olnum.region import (
     select_d_exact,
 )
 from olnum.select import (
-    Window,
     golden_d_rule,
     golden_m_rule,
     int_window_ceiling,
@@ -32,7 +31,6 @@ from olnum.select import (
     synthesize_table,
     truncate,
     window_encode,
-    window_value,
 )
 
 
@@ -66,7 +64,7 @@ class TestTruncate:
         sys_ = golden.sys
         w = truncate(sys_, parse_digits(sys_, "0 . 1 1"), 5)
         assert w.tail_bound.lo == w.tail_bound.hi == 0
-        assert (window_value(sys_, w) - eval_digits(sys_, parse_digits(sys_, "0 . 1 1"))).is_zero()
+        assert (w.value - eval_digits(sys_, parse_digits(sys_, "0 . 1 1"))).is_zero()
 
     def test_tail_bound_golden(self, golden):
         # tail for L=3 encloses 1/(beta^3 (beta-1))
@@ -125,13 +123,13 @@ class TestSelectMExtended:
         sys_, cert = nonneg.sys, nonneg.cert
         # beta*lambda - eps/2 = 2/3 - 1/12 = 7/12; pick value 1/2 < 7/12
         w = _win(sys_, "0 . 1 0 0 0 0", 5)
-        assert (window_value(sys_, w).re - RealQuad(7, 0, 12)).sign() < 0
+        assert (w.value.re - RealQuad(7, 0, 12)).sign() < 0
         assert select_m(cert, sys_, w) == sys_.zero_index
 
     def test_matches_select_m_in_domain(self, nonneg):
         sys_, cert = nonneg.sys, nonneg.cert
         w = _win(sys_, "1 . 0 0 0 0 0", 5)  # value 1, inside (beta I)^(eps/2)
-        v = window_value(sys_, w)
+        v = w.value
         assert not in_growth_phase(cert, sys_, v)
         assert select_m(cert, sys_, w) == nearest_qualifying(sys_, v, lambda i: ball_fits(cert, sys_, v, i))
 
@@ -276,8 +274,8 @@ class TestSpecializedGoldenM:
         count = 0
         for combo in product(range(3), repeat=5):
             ds = DigitString(tuple(combo[:2]), tuple(combo[2:]))
-            w = Window(ds, 3, truncate(sys_, ds, 3).tail_bound)
-            value = window_value(sys_, w)
+            w = truncate(sys_, ds, 3)
+            value = w.value
             from olnum.region import digit_select_total
 
             assert golden_m_rule(sys_, w) == digit_select_total(cert, sys_, value)
@@ -291,10 +289,10 @@ class TestSpecializedGoldenD:
         # sits on a tie 2V = +-Delta, where neither strict inequality holds -> 0
         sys_ = golden.sys
         d = _win(sys_, "0 . 1 -1 1", 9)
-        dd = window_value(sys_, d)
+        dd = d.value
         for v_text, tie_sign in (("0 . 0 1", 1), ("0 . 0 -1", -1)):
             v = _win(sys_, v_text, 9)
-            vv = window_value(sys_, v)
+            vv = v.value
             assert (vv + vv - dd * RealQuad(tie_sign)).is_zero()
             assert golden_d_rule(sys_, v, d) == sys_.zero_index
             assert select_d_exact(golden.div_cert, sys_, vv, dd) == sys_.zero_index
@@ -310,16 +308,14 @@ class TestSpecializedGoldenD:
             d_digits = [sys_.index_of_symbol(rng.choice(["1", "-1"]))] + [
                 rng.randrange(3) for _ in range(8)
             ]
-            d_win = Window(DigitString((sys_.zero_index,), tuple(d_digits)), 9,
-                           truncate(sys_, DigitString((sys_.zero_index,), tuple(d_digits)), 9).tail_bound)
-            delta = window_value(sys_, d_win)
+            d_win = truncate(sys_, DigitString((sys_.zero_index,), tuple(d_digits)), 9)
+            delta = d_win.value
             if (delta.norm_sq() - lo_sq).sign() < 0:
                 continue
             u_int = rng.randrange(3)
             u_digits = [rng.randrange(3) for _ in range(9)]
-            w_win = Window(DigitString((u_int,), tuple(u_digits)), 9,
-                           truncate(sys_, DigitString((u_int,), tuple(u_digits)), 9).tail_bound)
-            v = window_value(sys_, w_win)
+            w_win = truncate(sys_, DigitString((u_int,), tuple(u_digits)), 9)
+            v = w_win.value
             # keep the pair inside the admissible scaled domain
             z = v / delta
             from olnum.region import region_dist_sq
@@ -353,7 +349,7 @@ class TestKnuthDigit:
             ("-2 . ", "-2"),     # Re = -2 < -3/2
         ]
         for text, expected in cases:
-            value = window_value(sys_, _win(sys_, text, 7))
+            value = _win(sys_, text, 7).value
             assert sys_.symbol(digit_select(cert, sys_, value)) == expected
 
     def test_agrees_with_generic(self, knuth):
@@ -366,8 +362,8 @@ class TestKnuthDigit:
             ints = [rng.randrange(5)]
             fracs = [rng.randrange(5) for _ in range(7)]
             ds = DigitString(tuple(ints), tuple(fracs))
-            w = Window(ds, 7, truncate(sys_, ds, 7).tail_bound)
-            value = window_value(sys_, w)
+            w = truncate(sys_, ds, 7)
+            value = w.value
             fat = cert.select_fatten()
             if (region_dist_sq(cert.beta_region(sys_), value) - fat * fat).sign() > 0:
                 continue
@@ -381,8 +377,8 @@ class TestEisensteinDigit:
     def test_nearest(self, eisenstein):
         sys_ = eisenstein.sys
         w = _win(sys_, "0 . 1", 7)  # value 1/beta
-        idx = nearest_qualifying(sys_, window_value(sys_, w), None)
-        assert idx == digit_select(eisenstein.cert, sys_, window_value(sys_, w))
+        idx = nearest_qualifying(sys_, w.value, None)
+        assert idx == digit_select(eisenstein.cert, sys_, w.value)
 
     def test_three_fifths(self, eisenstein):
         sys_ = eisenstein.sys
@@ -403,7 +399,7 @@ class TestTableSynthesis:
         table = synthesize_table(sys_, cert, 3, domain)
         for key, digit in table.entries.items():
             ds = DigitString(tuple(key[:2]), tuple(key[2:]))
-            w = Window(ds, 3, truncate(sys_, ds, 3).tail_bound)
+            w = truncate(sys_, ds, 3)
             assert golden_m_rule(sys_, w) == digit
 
     def test_golden_consistent_with_digit_select_in_domain(self, golden):
@@ -487,5 +483,44 @@ class TestWindowEncode:
             if (region_dist_sq(cert.beta_region(sys_), v) - fat * fat).sign() > 0:
                 continue
             w = window_encode(sys_, cert, v, 4)
-            err = (window_value(sys_, w) - v).norm_sq()
+            err = (w.value - v).norm_sq()
             assert (err - RealQuad.from_fraction(w.tail_bound.hi**2)).sign() <= 0
+
+    # (preset, certificate attribute): every certificate a bundled run encodes
+    # with; integer:3:0:3's region lies right of zero, so small values are
+    # scaled up and may start below the window's last digit (L + shift < 0)
+    CERTS = (("golden-square", "cert"), ("golden-mean", "cert"), ("knuth", "cert"), ("eisenstein", "cert"),
+             ("eisenstein", "div_cert"), ("base4", "cert"), ("integer:2:-1:1", "cert"), ("integer:3:0:3", "cert"))
+
+    @staticmethod
+    def _assert_exact(sys_, value, w):
+        assert eval_digits(sys_, w.digits) == w.value
+        assert ((value - w.value).norm_sq() - RealQuad.from_fraction(w.tail_bound.hi ** 2)).sign() <= 0
+
+    @settings(max_examples=300)
+    @given(case=st.sampled_from(CERTS), L=st.integers(0, 8), n_int=st.integers(0, 3), data=st.data())
+    def test_value_is_the_digits_value(self, case, L, n_int, data):
+        p = load_preset(case[0])
+        sys_, cert = p.sys, getattr(p, case[1])
+        idx = st.integers(0, len(sys_.alphabet) - 1)
+        ints = data.draw(st.lists(idx, min_size=n_int, max_size=n_int)) or [sys_.zero_index]
+        lead = data.draw(st.integers(0, L + 4))  # leading fractional zeros: small values
+        fracs = data.draw(st.lists(idx, max_size=6))
+        value = eval_digits(sys_, DigitString(tuple(ints), (sys_.zero_index,) * lead + tuple(fracs)))
+        self._assert_exact(sys_, value, window_encode(sys_, cert, value, L))
+
+    @pytest.mark.parametrize("case", CERTS, ids="-".join)
+    def test_zero(self, case):
+        p = load_preset(case[0])
+        w = window_encode(p.sys, getattr(p, case[1]), ComplexQuad.zero(), 5)
+        self._assert_exact(p.sys, ComplexQuad.zero(), w)
+        assert w.value.is_zero() and w.tail_bound.hi == 0
+
+    def test_value_below_the_window(self):
+        # 3^-7 takes 6 scalings up into the region [1/8, 11/8], 3 more than
+        # L = 3 keeps: every kept digit is 0, and the value lies within the tail
+        p = load_preset("integer:3:0:3")
+        value = ComplexQuad(RealQuad.from_fraction(Fraction(1, 3 ** 7)))
+        w = window_encode(p.sys, p.cert, value, 3)
+        self._assert_exact(p.sys, value, w)
+        assert w.value.is_zero() and w.tail_bound.hi > 0
