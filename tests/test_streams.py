@@ -5,7 +5,10 @@ that is meant to preserve behaviour."""
 import hashlib
 import random
 
-from olnum.numeration import DigitString, eval_digits
+import pytest
+
+from olnum.cli import main
+from olnum.numeration import DigitString, eval_digits, format_digits
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import load_preset
 
@@ -72,3 +75,29 @@ def _nonneg_mul_streams() -> str:
 
 def test_nonneg_mul_streams_unchanged():
     assert hashlib.sha256(_nonneg_mul_streams().encode()).hexdigest() == NONNEG_SHA256
+
+
+TRACE_N = 40
+# SHA-256 of stdout plus stderr of `olnum mul|div --trace -`: the per-step CSV
+# prints W exactly, so these pin the run's values as well as its digits
+TRACE_SHA256 = {
+    ("golden-square", "mul"): "db4aef94aab58c03c223d62084c459ec63a6a60058b87a228522beca9189c3fd",
+    ("golden-square", "div"): "b88246c2c057dbe4338815cd5c3c4576885ce570a57cce699d36fb67c1be1afb",
+    ("knuth", "mul"): "d37a7c2ffe1931e42b226e099a8fe1e872a5189333cf19dbad57a639b464baac",
+    ("knuth", "div"): "f965080d36ac0092143b29e13d9e46c4cafa118841a6f647c4621808361db5df",
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(TRACE_SHA256), ids=[f"{n}-{k}" for n, k in sorted(TRACE_SHA256)])
+def test_trace_csv_unchanged(capsys, tmp_path, name, kind):
+    sys_ = load_preset(name).sys
+    rng = random.Random(31)
+    paths = []
+    for tag, digits in (("a", _digits(rng, sys_, TRACE_N)),
+                        ("b", _divisor(rng, sys_) if kind == "div" else _digits(rng, sys_, TRACE_N))):
+        path = tmp_path / f"{tag}.ds"
+        path.write_text(format_digits(sys_, DigitString((sys_.zero_index,), tuple(digits))) + "\n")
+        paths.append(str(path))
+    assert main([kind, "--preset", name, "--digits", str(TRACE_N), "--trace", "-", *paths]) == 0
+    out = capsys.readouterr()
+    assert hashlib.sha256((out.out + out.err).encode()).hexdigest() == TRACE_SHA256[name, kind]
