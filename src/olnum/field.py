@@ -5,7 +5,9 @@ radicals leave the field (sqrt(7), sqrt(21), sqrt(146), ...).
 RealQuad stores (a + b*sqrt(d))/q with arbitrary-precision integers,
 normalized so that gcd(a, b, q) = 1, q >= 1, d is square-free, and purely
 rational values carry d = 0.  All predicates (sign, comparisons, equality)
-are exact integer decisions.
+are exact integer decisions.  RealQuad and ComplexQuad are the public types
+and the run monitor's oracle; the run loop itself keeps its values as
+integer points (xa, xb, ya, yb, q) over one denominator (to_point).
 """
 
 from __future__ import annotations
@@ -471,6 +473,48 @@ class ComplexQuad:
         if self.im.is_zero():
             return str(self.re)
         return f"({self.re})+({self.im})i"
+
+
+# -- integer points -------------------------------------------------------------
+
+Point = tuple[int, int, int, int, int]
+ZERO_POINT: Point = (0, 0, 0, 0, 1)
+ONE_POINT: Point = (1, 0, 0, 0, 1)
+
+
+def to_point(v: ComplexQuad) -> Point:
+    """v over one positive denominator, reduced: (xa, xb, ya, yb, q) for
+    ((xa + xb*sqrt(d)) + i*(ya + yb*sqrt(d)))/q.  A point does not carry d;
+    the object that holds it does."""
+    x, y = v.re, v.im
+    return reduce_point((x.a * y.q, x.b * y.q, y.a * x.q, y.b * x.q, x.q * y.q))
+
+
+def from_point(p: Point, d: int) -> ComplexQuad:
+    xa, xb, ya, yb, q = p
+    return ComplexQuad(RealQuad(xa, xb, q, d), RealQuad(ya, yb, q, d))
+
+
+def reduce_point(p: Point) -> Point:
+    """p with gcd(xa, xb, ya, yb, q) = 1; point arithmetic leaves its results
+    unreduced, so each value is reduced once when it is kept."""
+    g = gcd(*p)
+    return p if g == 1 else (p[0] // g, p[1] // g, p[2] // g, p[3] // g, p[4] // g)
+
+
+def point_add(p: Point, c: Point, sign: int = 1) -> Point:
+    """p + sign*c."""
+    q, cq = p[4], c[4]
+    return (p[0] * cq + sign * c[0] * q, p[1] * cq + sign * c[1] * q,
+            p[2] * cq + sign * c[2] * q, p[3] * cq + sign * c[3] * q, q * cq)
+
+
+def point_mul(c: Point, p: Point, d: int) -> Point:
+    """c*p over sqrt(d)."""
+    a, b, e, f, cq = c
+    xa, xb, ya, yb, q = p
+    return (a * xa + d * (b * xb - f * yb) - e * ya, b * xa + a * xb - f * ya - e * yb,
+            e * xa + d * (f * xb + b * yb) + a * ya, f * xa + e * xb + b * ya + a * yb, cq * q)
 
 
 # -- rational intervals -------------------------------------------------------

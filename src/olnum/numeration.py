@@ -2,7 +2,8 @@
 
 A system is a base beta with norm > 1 together with a finite digit alphabet
 containing zero.  Digit strings denote sum(d_j * beta^(-j)); the integer part
-occupies positions j <= 0, the fractional part positions j >= 1.
+occupies positions j <= 0, the fractional part positions j >= 1.  The one
+encoder, scale_into_region and greedy_digits, runs on integer points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CriterionInapplicableError, DomainError, ParseError
-from .field import ComplexQuad, RationalInterval, RealQuad
+from .field import ComplexQuad, Point, RationalInterval, RealQuad, point_add, point_mul, reduce_point, to_point
 
 POINT_TOKEN = "."
 MAX_SHIFT = 64  # scaling steps an encoder may take to bring a value into the region
@@ -250,11 +251,14 @@ def encode_value(sys, cert, v: ComplexQuad, n: int):
     """Encode an exact value into n fractional digits using the certificate's
     digit selector; returns (digits, shift) with value = beta^shift * 0.d1..dn
     up to the K*|beta|^-n tail.  The value is scaled into the region first."""
+    from .region import compiled_selector
+
     if n < 0:
         raise DomainError("digit count must be non-negative")
     if v.is_zero():
         return DigitString.make(sys, [sys.zero_index], [sys.zero_index] * n), 0
-    reduced = scale_into_region(sys, cert, v, sys.inv_base)
+    kern = compiled_selector(cert, sys)
+    reduced = scale_into_region(sys, cert, kern.point(v), kern.inv_beta)
     if reduced is None:
         raise DomainError("value not reducible into the certificate region within the shift budget")
     r, shift = reduced
@@ -262,34 +266,41 @@ def encode_value(sys, cert, v: ComplexQuad, n: int):
     return DigitString.make(sys, [sys.zero_index], digits), shift
 
 
-def scale_into_region(sys, cert, v: ComplexQuad, factor: ComplexQuad):
-    """Multiply v by factor until it lies in the certificate region; returns
-    (scaled value, number of multiplications), or None when MAX_SHIFT
-    multiplications do not get it there."""
-    from .region import region_contains
+def scale_into_region(sys, cert, p: Point, factor: Point):
+    """Multiply the point p by the point factor until it lies in the
+    certificate region; returns (scaled point, number of multiplications),
+    or None when MAX_SHIFT multiplications do not get it there."""
+    from .region import compiled_selector
 
+    kern = compiled_selector(cert, sys)
     steps = 0
-    while not region_contains(cert.region, v):
+    while not kern.in_region(p):
         if steps >= MAX_SHIFT:
             return None
-        v = v * factor
+        p = reduce_point(point_mul(factor, p, kern.d))
         steps += 1
-    return v, steps
+    return p, steps
 
 
-def greedy_digits(sys, cert, r: ComplexQuad, count: int) -> tuple[list[int], ComplexQuad]:
-    """Emit count digits of r (a value in the certificate region) with the
-    certificate's selector, most significant first; returns the digits and
-    the exact residual."""
-    from .region import digit_select
+def greedy_digits(sys, cert, r: Point, count: int) -> tuple[list[int], Point]:
+    """Emit count digits of the point r (a value in the certificate region)
+    with the certificate's selector, most significant first; returns the
+    digits and the exact residual."""
+    from .region import compiled_selector, digit_select
 
+    kern = compiled_selector(cert, sys)
     digits: list[int] = []
     for _ in range(count):
-        t = r * sys.base
+        t = reduce_point(point_mul(kern.beta, r, kern.d))
         idx = digit_select(cert, sys, t)
         digits.append(idx)
-        r = t - sys.digit(idx)
+        r = point_add(t, kern.digits[idx], -1)
     return digits, r
+
+
+def inv_beta_pow(sys: NumerationSystem, e: int) -> Point:
+    """beta^-e as a point, once per system and e."""
+    return memo(sys, ("inv_pow", e), lambda: to_point(sys.inv_base ** e))
 
 
 # -- zero representations -------------------------------------------------------

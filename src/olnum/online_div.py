@@ -7,7 +7,8 @@ is handled by the run, so callers feed plain aligned streams.  Before step 1
 the run reads the first delta divisor digits; step k then reads numerator
 digit k and divisor digit k + delta.  The divisor window, D's first L digits,
 lives on the run state and changes only while they arrive (and once more when
-the first nonzero digit beyond them does).
+the first nonzero digit beyond them does); its reciprocal and its d_min test
+are computed once per window.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import DomainError
-from .field import ComplexQuad, RationalInterval
-from .numeration import DigitString, NumerationSystem, memo
+from .field import ZERO_POINT, ComplexQuad, Point, RationalInterval, point_add, point_mul, reduce_point
+from .numeration import DigitString, NumerationSystem, inv_beta_pow
 from .online_mul import InvariantViolation, OnlineState, check_containment, operand_stream, run_online
 from .params import ParamSet
 from .region import OLCertificate, select_d_exact
@@ -36,46 +37,47 @@ def make_generic_div_select(alpha: Fraction, d_min: RationalInterval) -> DivSele
 def _read_divisor(state: OnlineState, d_idx: int) -> None:
     """Append the next divisor digit to D and its window; the first must be
     nonzero and, when monitoring, every prefix stays at or above d_min."""
-    sys, L = state.sys, state.params.window_l
+    sys, L, kern = state.sys, state.params.window_l, state.kern
     pos = len(state.d_digits) + 1
     if pos == 1 and d_idx == sys.zero_index:
         raise DomainError("divisor must be preprocessed: first digit nonzero")
     state.d_digits.append(d_idx)
-    state.d_pow = state.d_pow * sys.inv_base
-    state.y_partial = state.y_partial + sys.digit(d_idx) * state.d_pow
+    state.d_pow = reduce_point(point_mul(kern.inv_beta, state.d_pow, kern.d))
+    state.y_partial = state.advance(state.y_partial, d_idx, state.d_pow)
     if pos <= L:
         state.d_window = Window(DigitString((sys.zero_index,), tuple(state.d_digits)), L,
-                                RationalInterval.point(0), state.y_partial)
+                                RationalInterval.point(0), state.y_partial, kern.d)
     elif d_idx != sys.zero_index and not state.d_window.tail_bound.hi:
         state.d_window = replace(state.d_window, tail_bound=generic_tail_bound(sys, L))
-    if state.check and state.y_partial.norm_sq() < state.params.d_min.lo ** 2:
+    if state.check and kern.value(state.y_partial).norm_sq() < state.params.d_min.lo ** 2:
         raise InvariantViolation(f"divisor prefix D_{pos} falls below the certified minimum modulus")
 
 
-def div_step(state: OnlineState, n_idx: int, d_idx: int) -> tuple[ComplexQuad, tuple[Window, ...]]:
+def div_step(state: OnlineState, n_idx: int, d_idx: int) -> tuple[Point, tuple[Window, ...]]:
     """W_k = beta (W_{k-1} - q_{k-1} D_{k+delta-1}) + (n_{k+delta} - Q_{k-1} d_{k+delta}) beta^-delta;
     N and D advance to position k + delta, so N's new digit has D's power."""
-    sys = state.sys
-    delta = state.params.delta
+    kern, d = state.kern, state.kern.d
     d_prev = state.y_partial
     _read_divisor(state, d_idx)
-    state.x_partial = state.x_partial + sys.digit(n_idx) * state.d_pow
-    w_new = (state.w - state.last_digit() * d_prev) * sys.base + (
-        sys.digit(n_idx) - state.out_partial * sys.digit(d_idx)
-    ) * memo(sys, ("inv_pow", delta), lambda: sys.inv_base ** delta)
-    return w_new, (state.d_window,)
+    state.x_partial = state.advance(state.x_partial, n_idx, state.d_pow)
+    w_new = point_add(
+        point_mul(kern.beta, point_add(state.w, point_mul(state.last_digit(), d_prev, d), -1), d),
+        point_mul(inv_beta_pow(state.sys, state.params.delta),
+                  point_add(kern.digits[n_idx], point_mul(state.out_partial, kern.digits[d_idx], d), -1), d))
+    return reduce_point(w_new), (state.d_window,)
 
 
 def _check_step(state: OnlineState, k: int, w_new: ComplexQuad, q: int, w_window: Window, d_window: Window) -> None:
-    sys, cert = state.sys, state.cert
-    expected = state.beta_k * (state.x_partial - state.out_partial * state.y_partial)
+    sys, cert, value = state.sys, state.cert, state.kern.value
+    d = value(state.y_partial)
+    expected = state.beta_k * (value(state.x_partial) - value(state.out_partial) * d)
     if not (w_new - expected).is_zero():
         raise InvariantViolation(f"step {k}: recurrence disagrees with beta^k (N - Q D)")
     # windowed pipeline vs exact-arithmetic selection at the same truncation
     exact = select_d_exact(cert, sys, w_window.value, d_window.value)
     if exact != q:
         raise InvariantViolation(f"step {k}: windowed selection {q} differs from exact selection {exact}")
-    check_containment(state, k, w_new / state.y_partial, q, cert.div_fatten(sys), cert.div_slack, "W/D")
+    check_containment(state, k, w_new / d, q, cert.div_fatten(sys), cert.div_slack, "W/D")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def div_run(
     ns = operand_stream(sys, ns, extra_shift)
     ds = operand_stream(sys, ds, 0)
     state.d_window = Window(DigitString((sys.zero_index,), ()), params.window_l,
-                            RationalInterval.point(0), ComplexQuad.zero())
+                            RationalInterval.point(0), ZERO_POINT, state.kern.d)
     for _ in range(params.delta):
         _read_divisor(state, next(ds))
     digits = run_online(state, div_step, _check_step, ns, ds, n, trace_fn)

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import CriterionInapplicableError, DomainError
-from .field import ComplexQuad, RationalInterval, RealQuad
+from .field import ONE_POINT, ZERO_POINT, ComplexQuad, Point, RationalInterval, RealQuad, from_point, point_add, point_mul, reduce_point, to_point
 from .numeration import DigitString, NumerationSystem, sqrt_enclosure, zero_has_nontrivial_rep
 
 # largest prefix enumeration (alphabet size ** depth) a floor search attempts
@@ -157,20 +156,7 @@ def dmin_lower_bound(
     analyzed depth."""
     if depth < 1:
         raise DomainError("analysis depth must be at least 1")
-    rule_list = [r for r in rules if len(r.lhs) <= depth]
-    zero = sys.zero_index
-    indices = range(len(sys.alphabet))
-    best_sq: RealQuad | None = None
-    best_exact: ComplexQuad | None = None
-    for combo in product(indices, repeat=depth):
-        if combo[0] == zero:
-            continue
-        if any(tuple(combo[: len(r.lhs)]) == r.lhs for r in rule_list):
-            continue
-        value = _prefix_value(sys, combo)
-        n = value.norm_sq()
-        if best_sq is None or (n - best_sq).sign() < 0:
-            best_sq, best_exact = n, value
+    best_sq, best_exact = _least_prefix(sys, {r.lhs for r in rules if len(r.lhs) <= depth}, depth)
     if best_sq is None:
         raise DomainError("every prefix is reducible: no irreducible divisor exists")
 
@@ -186,6 +172,33 @@ def dmin_lower_bound(
             return result
         precision /= 4
     raise DomainError("interval evaluation failed to converge")
+
+
+def _least_prefix(sys: NumerationSystem, lhs: set, depth: int) -> tuple[RealQuad | None, ComplexQuad | None]:
+    """(|v|^2, v) of the first prefix value v of least modulus over the
+    depth-digit prefixes with a nonzero first digit and no rule left side as
+    a prefix, in product order.  The prefixes are walked depth first, each
+    value its parent's plus one digit term, on points over sqrt(d)."""
+    d, zero = sys.ambient_d, sys.zero_index
+    terms, power = [], ONE_POINT  # terms[j][i]: digit i at position j + 1
+    for _ in range(depth):
+        power = reduce_point(point_mul(to_point(sys.inv_base), power, d))
+        terms.append([reduce_point(point_mul(to_point(a), power, d)) for a in sys.alphabet])
+    best: list = [None, None]
+
+    def walk(prefix: tuple[int, ...], value: Point) -> None:
+        if len(prefix) == depth:
+            xa, xb, ya, yb, q = value
+            n = RealQuad(xa * xa + ya * ya + (xb * xb + yb * yb) * d, 2 * (xa * xb + ya * yb), q * q, d)
+            if best[0] is None or (n - best[0]).sign() < 0:
+                best[:] = n, value
+            return
+        for i, term in enumerate(terms[len(prefix)]):
+            nxt = prefix + (i,)
+            if (prefix or i != zero) and nxt not in lhs:
+                walk(nxt, reduce_point(point_add(value, term)))
+    walk((), ZERO_POINT)
+    return best[0], None if best[1] is None else from_point(best[1], d)
 
 
 def dmin_search(sys: NumerationSystem, rules, depth_cap: int) -> tuple[int, RationalInterval]:

@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from typing import Callable, Sequence
 
 from .errors import CertificateError, DomainError, FieldMismatchError
-from .field import ComplexQuad, RationalInterval, RealQuad, quad_sign
+from .field import ComplexQuad, Point, RationalInterval, RealQuad, from_point, point_mul, quad_sign, to_point
 from .numeration import NumerationSystem, memo
 
 _RQ0 = RealQuad(0)
@@ -690,15 +690,17 @@ def _qualified(best: int | None, message: str) -> int:
     return best
 
 
-def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
+def digit_select(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad | Point) -> int:
     """Digit selector realized by the certificate, on its compiled tests: the
-    digit of digit_select_exact.  In the growth phase the digit is 0."""
-    if in_growth_phase(cert, sys, v):
-        return sys.zero_index
+    digit of digit_select_exact, for a ComplexQuad or a kernel point.  In the
+    growth phase the digit is 0."""
     sel = compiled_selector(cert, sys)
-    if not sel.inside(v):
-        _domain_check(cert, sys, v)
-    return _qualified(sel.nearest(v), _UNCOVERED)
+    p = sel.point(v)
+    if cert.right_of_zero and in_growth_phase(cert, sys, sel.value(p)):
+        return sys.zero_index
+    if not sel.inside(p):
+        _domain_check(cert, sys, sel.value(p))
+    return _qualified(sel.nearest(p), _UNCOVERED)
 
 
 def digit_select_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad) -> int:
@@ -714,13 +716,17 @@ def digit_select_total(cert: OLCertificate, sys: NumerationSystem, v: ComplexQua
     """Total extension used for table synthesis: the nearest admissible digit
     when any digit qualifies, plain nearest otherwise (compiled tests)."""
     sel = compiled_selector(cert, sys)
-    best = sel.nearest(v)
-    return sel.nearest(v, admissible=False) if best is None else best
+    p = sel.point(v)
+    best = sel.nearest(p)
+    return sel.nearest(p, admissible=False) if best is None else best
 
 
-def quotient_digit(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
-    """select_d_exact's digit on the compiled tests; delta is nonzero."""
-    return _qualified(compiled_selector(cert, sys).nearest(v / delta), _NO_QUOTIENT_DIGIT)
+def quotient_digit(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad | Point,
+                   recip: ComplexQuad | Point) -> int:
+    """select_d_exact's digit for v/delta on the compiled tests, from v and
+    recip = 1/delta: one kernel product, no inverse."""
+    sel = compiled_selector(cert, sys)
+    return _qualified(sel.nearest(point_mul(sel.point(recip), sel.point(v), sel.d)), _NO_QUOTIENT_DIGIT)
 
 
 def select_d_exact(cert: OLCertificate, sys: NumerationSystem, v: ComplexQuad, delta: ComplexQuad) -> int:
@@ -755,8 +761,8 @@ def _form(gx: RealQuad, gy: RealQuad, c: RealQuad, d: int) -> tuple[int, ...]:
 
 
 def _form_sign(t: tuple[int, ...], p: tuple[int, ...], d: int) -> int:
-    """Sign of the form t (from _form) at the point p (from
-    CompiledSelector._point): one A + B*sqrt(d), by RealQuad's sign rule."""
+    """Sign of the form t (from _form) at the point p (field.to_point): one
+    A + B*sqrt(d), by RealQuad's sign rule."""
     xa, xb, ya, yb, q = p
     gxa, gxbd, gxb, gya, gybd, gyb, ca, cb = t
     return quad_sign(gxa * xa + gxbd * xb + gya * ya + gybd * yb - ca * q,
@@ -771,49 +777,58 @@ class CompiledSelector:
     the field keeps the squared test), and which of two digits lies nearer v,
     |v - a|^2 - |v - b|^2 = 2 Re(v conj(b - a)) - |b|^2 + |a|^2.  It decides
     what digit_select_exact and nearest_admissible decide, without building
-    a RealQuad (but on a squared side)."""
+    a RealQuad (but on a squared side).  It is also the run's kernel: the
+    tests read integer points (field.to_point) over sqrt(d), and beta,
+    beta^-1 and the digits are kept as points for the integer maps
+    (field.point_mul, field.point_add)."""
 
     d: int
     domain: tuple  # forms of beta*I's sides
+    region: tuple  # forms of I's sides
     fits: tuple | None  # per digit, forms of the eroded I + a; None on mu/nu (every digit)
     squared: tuple  # per digit, (gx, gy, c, eps^2 |g|^2) of the sides with |g| outside the field
     nearer: tuple  # nearer[i][j] > 0: digit j lies strictly nearer v than digit i
+    beta: Point
+    inv_beta: Point
+    digits: tuple  # the alphabet's points
 
-    def _point(self, v: ComplexQuad) -> tuple[tuple[int, ...], int]:
-        """v = (x, y) over the positive denominator x.q*y.q, as
-        (x.a, x.b, y.a, y.b, q), and the field descriptor of the tests."""
-        x, y = v.re, v.im
-        vd = x.d or y.d
-        if vd and self.d and vd != self.d:
+    def point(self, v: ComplexQuad | Point) -> Point:
+        """v as a point of this kernel; a point passes through."""
+        if isinstance(v, tuple):
+            return v
+        vd = v.re.d or v.im.d
+        if vd and vd != self.d:
             raise FieldMismatchError(f"mismatched field descriptors: sqrt({vd}) vs sqrt({self.d})")
-        return (x.a * y.q, x.b * y.q, y.a * x.q, y.b * x.q, x.q * y.q), self.d or vd
+        return to_point(v)
 
-    def inside(self, v: ComplexQuad) -> bool:
-        """v lies in beta*I."""
-        p, d = self._point(v)
-        return all(_form_sign(t, p, d) >= 0 for t in self.domain)
+    def value(self, p: Point) -> ComplexQuad:
+        return from_point(p, self.d)
 
-    def nearest(self, v: ComplexQuad, admissible: bool = True) -> int | None:
-        """nearest_admissible(v), or the nearest digit when not admissible;
+    def inside(self, p: Point) -> bool:
+        """p lies in beta*I."""
+        return all(_form_sign(t, p, self.d) >= 0 for t in self.domain)
+
+    def in_region(self, p: Point) -> bool:
+        """p lies in I (region_contains)."""
+        return all(_form_sign(t, p, self.d) >= 0 for t in self.region)
+
+    def nearest(self, p: Point, admissible: bool = True) -> int | None:
+        """nearest_admissible(p), or the nearest digit when not admissible;
         ties go to the earlier digit in alphabet order."""
-        p, d = self._point(v)
-        best = None
+        d, best = self.d, None
         for i in range(len(self.nearer)):
-            if admissible and self.fits is not None and not self._fits(i, v, p, d):
+            if admissible and self.fits is not None and not self._fits(i, p):
                 continue
             if best is None or _form_sign(self.nearer[best][i], p, d) > 0:
                 best = i
         return best
 
-    def _fits(self, i: int, v: ComplexQuad, p: tuple[int, ...], d: int) -> bool:
+    def _fits(self, i: int, p: Point) -> bool:
         for t in self.fits[i]:
-            if _form_sign(t, p, d) < 0:
+            if _form_sign(t, p, self.d) < 0:
                 return False
-        for gx, gy, c, bound in self.squared[i]:
-            margin = gx * v.re + gy * v.im - c
-            if (margin * margin - bound).sign() < 0:
-                return False
-        return True
+        v = self.value(p) if self.squared[i] else None
+        return all(((gx * v.re + gy * v.im - c) ** 2 - bound).sign() >= 0 for gx, gy, c, bound in self.squared[i])
 
 
 def compiled_selector(cert: OLCertificate, sys: NumerationSystem) -> CompiledSelector:
@@ -841,4 +856,7 @@ def _compile(cert: OLCertificate, sys: NumerationSystem) -> CompiledSelector:
         for a in sys.alphabet
     )
     domain = tuple(_form(gx, gy, c, d) for gx, gy, c, _ in _sides(cert.beta_region(sys)))
-    return CompiledSelector(d, domain, None if cert.selects_nearest else tuple(fits), tuple(squared), nearer)
+    inner = tuple(_form(gx, gy, c, d) for gx, gy, c, _ in _sides(region))
+    return CompiledSelector(d, domain, inner,
+                            None if cert.selects_nearest else tuple(fits), tuple(squared), nearer,
+                            to_point(sys.base), to_point(sys.inv_base), tuple(to_point(a) for a in sys.alphabet))

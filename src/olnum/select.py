@@ -2,8 +2,9 @@
 
 A window keeps the full integer part of an auxiliary value plus its first L
 fractional digits, together with a certified bound on the discarded tail and
-the exact value of the kept digits, set where the window is built; nothing
-decodes a window for selection.  Selection checks the tail bound and applies
+the exact value of the kept digits as a kernel point, set where the window is
+built (its ComplexQuad ``value`` is derived on demand); nothing decodes a
+window for selection.  Selection checks the tail bound and applies
 the certificate's compiled selector (``region.CompiledSelector``):
 ``region.digit_select`` on W for multiplication, ``region.quotient_digit`` on
 W/D for division.  Their ball-test twins, ``digit_select_exact`` and
@@ -16,17 +17,18 @@ domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .errors import DomainError
-from .field import ComplexQuad, RationalInterval, RealQuad
-from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, memo, scale_into_region
+from .field import ZERO_POINT, ComplexQuad, Point, RationalInterval, RealQuad, from_point, point_add, point_mul, reduce_point, to_point
+from .numeration import DigitString, NumerationSystem, eval_digits, greedy_digits, inv_beta_pow, memo, scale_into_region
 from .preprocess import RewriteRule, dmin_search
 from .region import (
     ConvexPolygon,
     OLCertificate,
+    compiled_selector,
     digit_select,
     digit_select_total,
     quotient_digit,
@@ -41,7 +43,13 @@ class Window:
     digits: DigitString
     L: int
     tail_bound: RationalInterval
-    value: ComplexQuad  # exact value of digits
+    point: Point  # exact value of digits, over sqrt(d)
+    d: int = field(compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def value(self) -> ComplexQuad:
+        return memo(self, "value", lambda: from_point(self.point, self.d))
 
     def int_len(self) -> int:
         return len(self.digits.int_digits)
@@ -65,36 +73,39 @@ def truncate(sys: NumerationSystem, ds: DigitString, L: int) -> Window:
         tail = RationalInterval.point(0)
     else:
         tail = generic_tail_bound(sys, L)
-    return Window(kept, L, tail, eval_digits(sys, kept))
+    return Window(kept, L, tail, to_point(eval_digits(sys, kept)), sys.ambient_d)
 
 
-def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad, L: int) -> Window:
-    """Exact digit window of a field value: scale into the region, emit the
-    integer part plus L fractional digits via the certificate selector.  The
-    tail is the exact residual r, bounded by K * |beta|^-L; the window's value
-    is value - r * beta^-L (0 when value lies below beta^-L's position)."""
-    if value.is_zero():
-        return Window(DigitString.make(sys, [sys.zero_index], [sys.zero_index] * L), L, RationalInterval.point(0), value)
-    reduced = scale_into_region(sys, cert, value, sys.inv_base)
+def window_encode(sys: NumerationSystem, cert: OLCertificate, value: ComplexQuad | Point, L: int) -> Window:
+    """Exact digit window of a field value (a ComplexQuad, or a point of the
+    certificate's kernel): scale into the region, emit the integer part plus
+    L fractional digits via the certificate selector.  The tail is the exact
+    residual r, bounded by K * |beta|^-L; the window's value is
+    value - r * beta^-e (0 when value lies below beta^-L's position)."""
+    kern = compiled_selector(cert, sys)
+    v, zero = kern.point(value), sys.zero_index
+    if not any(v[:4]):
+        return Window(DigitString.make(sys, [zero], [zero] * L), L, RationalInterval.point(0), ZERO_POINT, kern.d)
+    reduced = scale_into_region(sys, cert, v, kern.inv_beta)
     if reduced is not None:
         r, shift = reduced
     else:
         # not reachable by scaling down: try scaling up (values below a
         # region that sits right of zero)
-        reduced = scale_into_region(sys, cert, value, sys.base)
+        reduced = scale_into_region(sys, cert, v, kern.beta)
         if reduced is None:
             raise DomainError("value not reducible into the certificate region")
         r, shift = reduced[0], -reduced[1]
     digits, r = greedy_digits(sys, cert, r, max(shift + L, 0))
     e = max(L, -shift)  # value = beta^shift * 0.digits + r * beta^-e
-    exact = value - r * memo(sys, ("inv_pow", e), lambda: sys.inv_base ** e)
-    if r.is_zero():
+    exact = reduce_point(point_add(v, point_mul(inv_beta_pow(sys, e), r, kern.d), -1))
+    if not any(r[:4]):
         tail = RationalInterval.point(0)
     else:
         tail = memo(cert, ("tail", sys, L), lambda: cert.k_bound / sys.abs_beta(_IV_PREC).pow_int(L))
     lead = max(shift, 0)  # integer positions; a negative shift pads zeros after the point
-    ds = DigitString.make(sys, digits[:lead] or [sys.zero_index], [sys.zero_index] * (lead - shift) + digits[lead:])
-    return Window(ds, L, tail, exact)
+    frac = ([zero] * (lead - shift) + digits[lead:])[:L]
+    return Window(DigitString.make(sys, digits[:lead] or [zero], frac), L, tail, exact, kern.d)
 
 
 def _tail_below(tail: RationalInterval, radius: RealQuad) -> bool:
@@ -108,7 +119,7 @@ def select_m(cert: OLCertificate, sys: NumerationSystem, w: Window) -> int:
     radius = cert.trunc_radius()
     if not _tail_below(w.tail_bound, radius):
         raise DomainError("window tail bound too large for the truncation radius")
-    return digit_select(cert, sys, w.value)
+    return digit_select(cert, sys, w.point)
 
 
 def select_d(
@@ -122,12 +133,18 @@ def select_d(
     alpha_rq = memo(cert, ("alpha", alpha), lambda: RealQuad.from_fraction(alpha))
     if not _tail_below(w.tail_bound, alpha_rq) or not _tail_below(d.tail_bound, alpha_rq):
         raise DomainError("window tail bound too large for alpha")
-    v, delta = w.value, d.value
+    return quotient_digit(cert, sys, w.point, memo(d, ("recip", d_min.lo), lambda: _reciprocal(d, d_min)))
+
+
+def _reciprocal(d: Window, d_min: RationalInterval) -> Point:
+    """1/delta of a divisor window, once per window, after its test against
+    the certified minimum modulus."""
+    delta = d.value
     if delta.is_zero():
         raise DomainError("divisor window evaluates to zero")
-    if (delta.norm_sq() - memo(cert, ("d_min_sq", d_min.lo), lambda: RealQuad.from_fraction(d_min.lo ** 2))).sign() < 0:
+    if (delta.norm_sq() - RealQuad.from_fraction(d_min.lo ** 2)).sign() < 0:
         raise DomainError("divisor window below the certified minimum modulus")
-    return quotient_digit(cert, sys, v, delta)
+    return to_point(delta.inverse())
 
 
 # -- specialized selection rules ---------------------------------------------------

@@ -9,7 +9,11 @@ selection domain: drawn values, the vertices of every eroded I + a,
 points on the perpendicular bisector of two digits, and points on the edge of
 the fattened domain.  The certificates are every bundled one, the defaults of
 drawn integer systems with #A > |b|, and the parallelograms of drawn Gaussian
-bases a + bi with symmetric alphabets over the paper's bound."""
+bases a + bi with symmetric alphabets over the paper's bound.
+
+The same values check the run's integer kernel (the selector's points and
+maps) against ComplexQuad arithmetic, and select.window_encode against the
+ComplexQuad encoder it replaced, kept here as the oracle."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -18,9 +22,9 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from olnum import region
-from olnum.errors import CertificateError, OlnumError
-from olnum.field import ComplexQuad, RealQuad
-from olnum.numeration import NumerationSystem
+from olnum.errors import CertificateError, DomainError, OlnumError
+from olnum.field import ComplexQuad, RationalInterval, RealQuad, from_point, point_add, point_mul, reduce_point, to_point
+from olnum.numeration import DigitString, NumerationSystem
 from olnum.presets import load_preset
 from olnum.region import (
     OLCertificate,
@@ -37,6 +41,7 @@ from olnum.region import (
     real_interval_certificate,
     select_d_exact,
 )
+from olnum.select import window_encode
 
 BUNDLED = ("golden-square", "golden-mean", "knuth", "eisenstein", "base4", "integer:2:-1:1",
            "integer:3:-1:2", "integer:2:0:2", "integer:-3:-2:2")
@@ -187,7 +192,7 @@ def test_quotient_digit_equals_select_d_exact(case, data):
     if data.draw(st.booleans()):
         delta = -delta
     v = u * delta
-    assert _outcome(quotient_digit, cert, sys_, v, delta) == _outcome(select_d_exact, cert, sys_, v, delta)
+    assert _outcome(quotient_digit, cert, sys_, v, delta.inverse()) == _outcome(select_d_exact, cert, sys_, v, delta)
 
 
 def test_bisector_ties_go_to_the_earlier_digit():
@@ -202,3 +207,78 @@ def test_bisector_ties_go_to_the_earlier_digit():
                     assert digit_select_total(cert, sys_, mid) != j
                     checked += 1
     assert checked > 0
+
+
+# -- the run's kernel against ComplexQuad -------------------------------------------
+
+
+def _encode_oracle(sys_, cert, value, L):
+    """The ComplexQuad window encoder the kernel replaced: scale by beta^-1
+    (else by beta) into I, then greedy ball-test digits of beta*r.  Returns
+    (int digits, frac digits, value, tail)."""
+    zero = sys_.zero_index
+    if value.is_zero():
+        return (zero,), (zero,) * L, value, 0
+
+    def scale(v, factor):
+        for steps in range(65):
+            if region.region_contains(cert.region, v):
+                return v, steps
+            v = v * factor
+        return None
+    reduced = scale(value, sys_.inv_base)
+    if reduced is None:
+        reduced = scale(value, sys_.base)
+        if reduced is None:
+            raise DomainError("value not reducible into the certificate region")
+        reduced = reduced[0], -reduced[1]
+    r, shift = reduced
+    digits = []
+    for _ in range(max(shift + L, 0)):
+        t = r * sys_.base
+        digits.append(digit_select_exact(cert, sys_, t))
+        r = t - sys_.digit(digits[-1])
+    e = max(L, -shift)
+    exact = value - r * sys_.inv_base ** e
+    lead = max(shift, 0)
+    ints = DigitString.make(sys_, digits[:lead] or [zero], ()).int_digits
+    return ints, tuple(([zero] * (lead - shift) + digits[lead:])[:L]), exact, 0 if r.is_zero() else cert.k_bound
+
+
+@settings(max_examples=300)
+@given(_values(), st.data())
+def test_kernel_maps_equal_complexquad(case, data):
+    sys_, cert, v = case
+    kern = region.compiled_selector(cert, sys_)
+    p, d = to_point(v), kern.d
+    assert from_point(p, d) == v and kern.value(p) == v
+    assert to_point(kern.value((3 * p[0], 3 * p[1], 3 * p[2], 3 * p[3], 3 * p[4]))) == p
+    i = data.draw(st.integers(0, len(sys_.alphabet) - 1))
+    a = sys_.digit(i)
+    assert kern.value(reduce_point(point_mul(kern.beta, p, d))) == v * sys_.base
+    assert kern.value(reduce_point(point_mul(kern.inv_beta, p, d))) == v * sys_.inv_base
+    assert kern.value(reduce_point(point_mul(kern.digits[i], p, d))) == v * a
+    assert kern.value(reduce_point(point_add(p, kern.digits[i]))) == v + a
+    assert kern.value(reduce_point(point_add(p, kern.digits[i], -1))) == v - a
+    assert kern.inside(p) == region.region_contains(cert.beta_region(sys_), v)
+    assert kern.in_region(p) == region.region_contains(cert.region, v)
+    assert kern.nearest(p) == nearest_admissible(cert, sys_, v)
+    assert kern.nearest(p, admissible=False) == nearest_qualifying(sys_, v, None)
+
+
+@settings(max_examples=300)
+@given(_values(), st.integers(0, 8), st.integers(0, 12), st.booleans())
+def test_window_encode_equals_the_complexquad_encoder(case, L, down, zero):
+    # beta^-down scales the value below the window (L + shift < 0) on the
+    # regions right of zero, which encode by scaling up
+    sys_, cert, v = case
+    v = ComplexQuad.zero() if zero else v * sys_.inv_base ** down
+    expected = _outcome(_encode_oracle, sys_, cert, v, L)
+    w = _outcome(window_encode, sys_, cert, v, L)
+    if isinstance(expected, type):
+        assert w is expected
+        return
+    ints, fracs, value, tail = expected
+    assert (w.digits.int_digits, w.digits.frac_digits, w.value) == (ints, fracs, value)
+    assert len(w.digits.frac_digits) == L
+    assert w.tail_bound == (RationalInterval.point(0) if tail == 0 else tail / sys_.abs_beta(Fraction(1, 10**9)).pow_int(L))

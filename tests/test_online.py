@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from olnum import numeration, online_mul
+from olnum import numeration, online_div, online_mul
 from olnum.errors import DomainError
 from olnum.field import ComplexQuad, RealQuad
 from olnum.numeration import DigitString, eval_digits
@@ -17,7 +17,7 @@ from olnum.online_mul import InvariantViolation, OnlineState, mul_run, mul_step,
 from olnum.online_mul import _check_step as mul_check
 from olnum.preprocess import preprocess_divisor
 from olnum.presets import PRESET_NAMES, load_preset
-from olnum.region import region_contains
+from olnum.region import compiled_selector, region_contains
 from olnum.select import truncate
 
 
@@ -52,31 +52,35 @@ def _mul_steps(state, digits):
 
 
 class TestMulStep:
+    # the run keeps W and the partials as kernel points; state.kern.value
+    # turns them back into ComplexQuads
+
     def test_first_step_zero(self, golden):
         state = _mul_state(golden)
         zero = golden.sys.zero_index
         _mul_steps(state, [(zero, zero)])
         assert state.emitted == [zero]
-        assert state.w.is_zero()
+        assert state.kern.value(state.w).is_zero()
 
     def test_zero_inputs_scale_w(self, golden):
         sys_ = golden.sys
         state = _mul_state(golden)
         one, zero = sys_.index_of_symbol("1"), sys_.zero_index
         _mul_steps(state, [(zero, zero)] * 4 + [(one, one)])
-        w_before = state.w
+        w_before = state.kern.value(state.w)
         if state.emitted[-1] == zero and not w_before.is_zero():
             _mul_steps(state, [(zero, zero)])
-            assert (state.w - w_before * sys_.base).is_zero()
+            assert (state.kern.value(state.w) - w_before * sys_.base).is_zero()
 
     def test_identity_at_step_five(self, golden):
         sys_ = golden.sys
         one, zero = sys_.index_of_symbol("1"), sys_.zero_index
         state = _mul_state(golden)
         _mul_steps(state, [(zero, zero)] * 4 + [(one, one)])
-        p_4 = state.out_partial - sys_.digit(state.emitted[-1]) * sys_.beta_pow(-5)
-        expected = sys_.beta_pow(5) * (state.x_partial * state.y_partial - p_4)
-        assert (state.w - expected).is_zero()
+        value = state.kern.value
+        p_4 = value(state.out_partial) - sys_.digit(state.emitted[-1]) * sys_.beta_pow(-5)
+        expected = sys_.beta_pow(5) * (value(state.x_partial) * value(state.y_partial) - p_4)
+        assert (value(state.w) - expected).is_zero()
 
 
 class TestMulRun:
@@ -536,3 +540,62 @@ def test_monitor_catches_window_digits_off_their_value(knuth, monkeypatch, kind)
     monkeypatch.setattr(online_mul, "window_encode", tampered())
     with pytest.raises(InvariantViolation, match="step 20: window digits disagree"):
         run()
+
+
+@pytest.mark.parametrize("kind", ["mul", "div"])
+@pytest.mark.parametrize("name", ["golden-square", "knuth", "eisenstein"])
+def test_monitor_catches_one_wrong_kernel_product(monkeypatch, name, kind):
+    # the beta map of the recurrence is off by 2^-60 once, at step 20: too
+    # little to move the window, but the recurrence identity, checked on
+    # ComplexQuads, no longer holds
+    preset = load_preset(name)
+    xs, ys, ns, ds = _operands(preset, random.Random(10), 40)
+    module = online_mul if kind == "mul" else online_div
+    beta = compiled_selector(preset.cert if kind == "mul" else preset.div_cert, preset.sys).beta
+    original, calls = module.point_mul, []
+
+    def wrong(c, p, d):
+        r = original(c, p, d)
+        if c is beta:
+            calls.append(1)
+            if len(calls) == 20:
+                s = 1 << 60
+                return (r[0] * s + r[4], r[1] * s, r[2] * s, r[3] * s, r[4] * s)
+        return r
+    monkeypatch.setattr(module, "point_mul", wrong)
+    with pytest.raises(InvariantViolation, match="step 20: recurrence disagrees"):
+        preset.mul(xs, ys, 40) if kind == "mul" else preset.div(ns, ds, 40)
+
+
+def test_unmonitored_runs_build_few_realquads(monkeypatch):
+    # a seed-1 cycle (one product and one quotient per showcase preset,
+    # n = 160) with check=False, after a warm-up: window_encode builds no
+    # RealQuad, and the whole run at most 40 per digit
+    n, rng = 160, random.Random(1)
+    runs = [(p, _operands(p, rng, n)) for p in map(load_preset, ("golden-square", "knuth", "eisenstein"))]
+
+    def cycle():
+        for p, (xs, ys, ns, ds) in runs:
+            p.mul(xs, ys, n, check=False)
+            p.div(ns, ds, n, check=False)
+    cycle()
+    counts, encoding = {"run": 0, "encode": 0}, []
+    init, encode = RealQuad.__init__, online_mul.window_encode
+
+    def counted_init(self, *args, **kwargs):
+        counts["run"] += 1
+        counts["encode"] += bool(encoding)
+        init(self, *args, **kwargs)
+
+    def marked_encode(*args):
+        encoding.append(1)
+        try:
+            return encode(*args)
+        finally:
+            encoding.pop()
+    monkeypatch.setattr(RealQuad, "__init__", counted_init)
+    monkeypatch.setattr(online_mul, "window_encode", marked_encode)
+    cycle()
+    monkeypatch.undo()
+    assert counts["encode"] == 0
+    assert counts["run"] <= 40 * 2 * len(runs) * n

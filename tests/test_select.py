@@ -524,3 +524,4 @@ class TestWindowEncode:
         w = window_encode(p.sys, p.cert, value, 3)
         self._assert_exact(p.sys, value, w)
         assert w.value.is_zero() and w.tail_bound.hi > 0
+        assert len(w.digits.frac_digits) == 3
