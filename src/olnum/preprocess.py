@@ -184,21 +184,21 @@ def _least_prefix(sys: NumerationSystem, lhs: set, depth: int) -> tuple[RealQuad
     for _ in range(depth):
         power = reduce_point(point_mul(to_point(sys.inv_base), power, d))
         terms.append([reduce_point(point_mul(to_point(a), power, d)) for a in sys.alphabet])
-    best: list = [None, None]
 
-    def walk(prefix: tuple[int, ...], value: Point) -> None:
+    def leaves(prefix: tuple[int, ...], value: Point):
         if len(prefix) == depth:
-            xa, xb, ya, yb, q = value
-            n = RealQuad(xa * xa + ya * ya + (xb * xb + yb * yb) * d, 2 * (xa * xb + ya * yb), q * q, d)
-            if best[0] is None or (n - best[0]).sign() < 0:
-                best[:] = n, value
+            yield value
             return
         for i, term in enumerate(terms[len(prefix)]):
             nxt = prefix + (i,)
             if (prefix or i != zero) and nxt not in lhs:
-                walk(nxt, reduce_point(point_add(value, term)))
-    walk((), ZERO_POINT)
-    return best[0], None if best[1] is None else from_point(best[1], d)
+                yield from leaves(nxt, reduce_point(point_add(value, term)))
+    best_sq = best = None
+    for xa, xb, ya, yb, q in leaves((), ZERO_POINT):
+        n = RealQuad(xa * xa + ya * ya + (xb * xb + yb * yb) * d, 2 * (xa * xb + ya * yb), q * q, d)
+        if best_sq is None or (n - best_sq).sign() < 0:
+            best_sq, best = n, (xa, xb, ya, yb, q)
+    return best_sq, None if best is None else from_point(best, d)
 
 
 def dmin_search(sys: NumerationSystem, rules, depth_cap: int) -> tuple[int, RationalInterval]:
